@@ -1,5 +1,6 @@
 #include "driver/compiler.hpp"
 
+#include <cassert>
 #include <chrono>
 
 #include "frontend/sema.hpp"
@@ -177,9 +178,15 @@ CompileResult compile_netcl(const std::string& source, const CompileOptions& opt
 }
 
 std::unique_ptr<sim::SwitchDevice> make_device(CompileResult&& result, std::uint16_t device_id) {
-  return std::make_unique<sim::SwitchDevice>(device_id, std::move(result.module),
-                                             std::move(result.kernels),
-                                             result.allocation.stages_used);
+  auto device = std::make_unique<sim::SwitchDevice>(device_id);
+  sim::ProgramArtifact artifact = make_artifact(std::move(result), "program");
+  // Admission-exempt: a single program owns the whole device, so
+  // tenant_table() reports it "unaccounted".
+  artifact.per_stage.clear();
+  const runtime::Error err = device->load_program(0, std::move(artifact));
+  (void)err;
+  assert(err.ok());
+  return device;
 }
 
 sim::ProgramArtifact make_artifact(CompileResult&& result, const std::string& name) {

@@ -64,7 +64,8 @@ struct CompileResult {
                                           const CompileOptions& options);
 
 /// Builds a simulated switch from a successful compile (consumes the
-/// module and kernel programs).
+/// module and kernel programs), loaded as tenant 0 named "program",
+/// admission-exempt.
 [[nodiscard]] std::unique_ptr<sim::SwitchDevice> make_device(CompileResult&& result,
                                                              std::uint16_t device_id);
 

@@ -17,7 +17,6 @@
 #include "obs/flightrec.hpp"
 #include "obs/profiler.hpp"
 #include "obs/prometheus.hpp"
-#include "runtime/device_runtime.hpp"
 #include "sim/telemetry.hpp"
 
 namespace netcl::net {
@@ -390,29 +389,14 @@ void SwdServer::handle_packet(IngressPacket& in) {
     return;
   }
 
-  sim::ComputeOutcome outcome;
-  const KernelSpec* spec = device_->spec_for(packet.netcl.comp);
-  if (spec != nullptr) {
-    sim::ArgValues args = sim::decode_args(*spec, packet.payload);
-    outcome = device_->execute(packet.netcl.comp, args, packet.netcl);
-    packet.payload = sim::encode_args(*spec, args);
-    packet.netcl.len = static_cast<std::uint16_t>(packet.payload.size());
-  } else {
-    // Addressed here, but no resident kernel serves this computation id —
-    // misrouted (or not-yet-loaded) tenant traffic. The packet still
-    // passes through (§IV), but count it and leave a flight-recorder
-    // breadcrumb so operators can diagnose it (ISSUE 7).
-    ++packets_unknown_computation;
-    ++device_->stats.no_kernel;
-    obs::flight(obs::FlightKind::kUnknownComputation,
-                static_cast<std::uint64_t>(packet.netcl.comp), device_->device_id());
-  }
+  const sim::StepOutcome step = device_->process(packet);
+  if (!step.executed) ++packets_unknown_computation;
   if (packet.telemetry.requested) {
     // Mirrors sim::Fabric's compute-hop stamp, on the daemon's wall clock:
     // ingress when the datagram was picked up, egress after execution.
     if (sim::stamp_hop(packet.telemetry,
                        {device_->device_id(), device_->generation(), ingress_ns,
-                        device_clock_ns(), queue_depth, outcome.stage_ops})) {
+                        device_clock_ns(), queue_depth, step.stage_ops})) {
       ++telemetry_stamps;
     }
   }
@@ -425,17 +409,12 @@ void SwdServer::handle_packet(IngressPacket& in) {
                                                 : 0),
                         uptime_s());
   }
-  const runtime::ForwardDecision decision = runtime::apply_action(
-      packet.netcl, outcome.executed ? outcome.action : ActionKind::Pass, outcome.target,
-      device_->device_id());
-  if (decision.drop) {
+  if (step.forward.drop) {
     ++packets_dropped_action;
-    ++device_->stats.drops_action;
     return;
   }
-  if (decision.multicast) {
-    ++device_->stats.multicasts;
-    const auto members = multicast_groups_.find(decision.multicast_group);
+  if (step.forward.multicast) {
+    const auto members = multicast_groups_.find(step.forward.multicast_group);
     if (members == multicast_groups_.end()) return;
     for (const std::uint16_t member : members->second) {
       sim::Packet copy = packet;

@@ -2,13 +2,13 @@
 //
 // SwdServer is the daemon's engine, usable in-process (tests run it on a
 // background thread) or behind the netcl-swd binary. It loads a compiled
-// pipeline — the same sim::SwitchDevice execution engine the fabric uses,
-// so a packet computes identically in simulation and over the wire — and
-// serves two sockets:
+// pipeline — the same sim::SwitchDevice, stepped by the same
+// SwitchDevice::process the fabric calls, so a packet computes identically
+// in simulation and over the wire — and serves two sockets:
 //
-//   * a UDP data plane: NetCL wire packets in, kernel execution, the
-//     Table II action applied, and the rewritten packet forwarded to the
-//     destination host. Host locations are learned from the src field of
+//   * a UDP data plane: NetCL wire packets in, the device step (kernel
+//     execution and the Table II action), and the rewritten packet
+//     forwarded to the destination host. Host locations are learned from the src field of
 //     arriving packets (there is no routing fabric behind a single daemon);
 //   * a TCP control plane: length-prefixed request/response frames
 //     (net/control.hpp) for managed read/write, lookup-entry management,
@@ -224,7 +224,8 @@ class SwdServer {
   /// flight-recorded here; nothing unvalidated crosses this line.
   void admit_datagram(const std::uint8_t* data, std::size_t size, const sockaddr_in& from,
                       std::uint32_t queue_depth);
-  /// Runs the switch engine over one admitted packet.
+  /// Runs the device step (SwitchDevice::process) over one admitted
+  /// packet, then stamps, SLO-accounts and forwards or fans it out.
   void handle_packet(IngressPacket& in);
   /// Executes up to max_cycle_execute_ queued packets.
   void process_ingress();

@@ -4,8 +4,9 @@
 // returns an action (Table II), the tuple is rewritten and the base program
 // forwards accordingly (§VI-C).
 //
-// Header-only so both the switch simulator (device side) and the host
-// runtime (for documentation/tests) share one implementation.
+// Header-only so the switch simulator can apply it without linking the
+// runtime library. Its one caller is sim::SwitchDevice::process, the device
+// step the fabric, netcl-swd and the host fallback all share.
 #pragma once
 
 #include "frontend/ast.hpp"

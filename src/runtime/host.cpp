@@ -211,10 +211,10 @@ bool HostRuntime::handle_down_send(sim::Packet& packet, int computation) {
                     " rejected (fail_fast)");
       return true;
     case FallbackPolicy::kHostExecute: {
-      if (host_executor_ == nullptr) {
+      if (shadow_device_ == nullptr) {
         ++fallback_fail_fast;
         fail_send(ErrorKind::kDeviceDown,
-                  "device down and no host executor attached; send for computation " +
+                  "device down and no shadow device attached; send for computation " +
                       std::to_string(computation) + " rejected");
         return true;
       }
@@ -222,8 +222,13 @@ bool HostRuntime::handle_down_send(sim::Packet& packet, int computation) {
       ++sent;
       ++metrics_.counter("comp" + std::to_string(computation) + ".sent");
       pending_round_trips_[computation].push_back({transport_->now_ns(), 0.0});
-      std::optional<sim::Packet> response = host_executor_->execute(packet, host_id_);
-      if (response.has_value()) deliver_packet(*response);
+      const sim::StepOutcome step = shadow_device_->process(packet);
+      if (step.forward.drop) return true;
+      // Whatever the action addressed, the response the shadow can deliver
+      // is this host's copy.
+      if (step.forward.multicast) packet.netcl.dst = host_id_;
+      packet.netcl.to = 0;
+      deliver_packet(packet);
       return true;
     }
     case FallbackPolicy::kQueueUntilRecovered:
@@ -285,8 +290,8 @@ void HostRuntime::attach_failure_detector(FailureDetector& detector) {
   });
 }
 
-void HostRuntime::set_host_executor(std::unique_ptr<HostExecutor> executor) {
-  host_executor_ = std::move(executor);
+void HostRuntime::set_shadow_device(std::unique_ptr<sim::SwitchDevice> device) {
+  shadow_device_ = std::move(device);
 }
 
 void HostRuntime::fail_send(ErrorKind kind, std::string message) {

@@ -39,9 +39,9 @@
 #include "obs/span.hpp"
 #include "runtime/error.hpp"
 #include "runtime/failure.hpp"
-#include "runtime/host_exec.hpp"
 #include "runtime/message.hpp"
 #include "sim/fabric.hpp"
+#include "sim/switch.hpp"
 
 namespace netcl::runtime {
 
@@ -50,8 +50,14 @@ namespace netcl::runtime {
 enum class FallbackPolicy : std::uint8_t {
   /// Surface a typed kDeviceDown error immediately; the message is not sent.
   kFailFast,
-  /// Run the packet through the attached HostExecutor's shadow pipeline
-  /// and loop the (byte-identical) response into the receive path.
+  /// Run the packet through the attached shadow device — the same compiled
+  /// kernels, stepped by the same SwitchDevice::process as the fabric and
+  /// netcl-swd — and loop the (byte-identical) response into the receive
+  /// path. Only the latency differs. A shadow stands in for single-host
+  /// request/response workloads (CALC-style): it has no other multicast
+  /// members to serve and no other device to send to, so it delivers this
+  /// host's copy of the outcome. Cross-host aggregation is what
+  /// kQueueUntilRecovered and retransmission are for.
   kHostExecute,
   /// Buffer the packed packet (bounded) and transmit it when the detector
   /// reports the device UP again.
@@ -142,12 +148,12 @@ class HostRuntime {
   void attach_failure_detector(FailureDetector& detector);
   void set_fallback_policy(FallbackPolicy policy) { fallback_policy_ = policy; }
   [[nodiscard]] FallbackPolicy fallback_policy() const { return fallback_policy_; }
-  /// Required for kHostExecute; the shadow device that stands in for the
-  /// real one.
-  void set_host_executor(std::unique_ptr<HostExecutor> executor);
-  [[nodiscard]] HostExecutor* host_executor() { return host_executor_.get(); }
-  /// Invoked whenever send() fails a message (kFailFast, missing executor,
-  /// or queue overflow). Also retrievable via last_error().
+  /// Required for kHostExecute: the shadow device that stands in for the
+  /// real one (typically a second driver::make_device() from the same
+  /// compile recipe).
+  void set_shadow_device(std::unique_ptr<sim::SwitchDevice> device);
+  /// Invoked whenever send() fails a message (kFailFast, missing shadow
+  /// device, or queue overflow). Also retrievable via last_error().
   void on_error(std::function<void(const Error&)> fn) { on_error_ = std::move(fn); }
   [[nodiscard]] const Error& last_error() const { return error_; }
   /// Invoked when the device comes back with a different generation (its
@@ -228,7 +234,7 @@ class HostRuntime {
   // Failure handling (ISSUE 3).
   FailureDetector* detector_ = nullptr;  // not owned
   FallbackPolicy fallback_policy_ = FallbackPolicy::kFailFast;
-  std::unique_ptr<HostExecutor> host_executor_;
+  std::unique_ptr<sim::SwitchDevice> shadow_device_;
   std::deque<sim::Packet> send_queue_;  // kQueueUntilRecovered buffer
   /// Armed on a DOWN transition; the first fallback send of the outage
   /// triggers a flight-recorder postmortem (ISSUE 6), then disarms.

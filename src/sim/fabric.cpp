@@ -3,9 +3,7 @@
 #include <cassert>
 #include <deque>
 
-#include "obs/flightrec.hpp"
 #include "obs/profiler.hpp"
-#include "runtime/device_runtime.hpp"
 
 namespace netcl::sim {
 
@@ -185,29 +183,10 @@ void Fabric::deliver(const Event& event) {
 
   if (packet.has_netcl && packet.netcl.to == dev->device_id()) {
     ready_time += dev->pipeline_latency_ns();
-    ComputeOutcome outcome;
-    const KernelSpec* spec = dev->spec_for(packet.netcl.comp);
-    ArgValues args;
-    if (spec != nullptr) {
-      args = decode_args(*spec, packet.payload);
-      outcome = dev->execute(packet.netcl.comp, args, packet.netcl);
-      packet.payload = encode_args(*spec, args);
-    } else {
-      // Addressed here, but no resident kernel serves this computation id —
-      // misrouted (or not-yet-loaded) tenant traffic. The packet still
-      // passes through (§IV), but count it and leave a flight-recorder
-      // breadcrumb so operators can diagnose it (ISSUE 7).
-      ++packets_unknown_computation;
-      ++dev->stats.no_kernel;
-      obs::flight(obs::FlightKind::kUnknownComputation,
-                  static_cast<std::uint64_t>(packet.netcl.comp), dev->device_id());
-    }
-    const runtime::ForwardDecision decision = runtime::apply_action(
-        packet.netcl, outcome.executed ? outcome.action : ActionKind::Pass, outcome.target,
-        dev->device_id());
-    if (decision.drop) {
+    const StepOutcome step = dev->process(packet);
+    if (!step.executed) ++packets_unknown_computation;
+    if (step.forward.drop) {
       ++packets_dropped_action;
-      ++dev->stats.drops_action;
       return;
     }
     // INT stamp (ISSUE 4): ingress on arrival, egress once the pipeline
@@ -217,13 +196,12 @@ void Fabric::deliver(const Event& event) {
       stamp_hop(packet.telemetry,
                 {dev->device_id(), dev->generation(), static_cast<std::uint64_t>(now_),
                  static_cast<std::uint64_t>(ready_time),
-                 static_cast<std::uint32_t>(events_.size()), outcome.stage_ops});
+                 static_cast<std::uint32_t>(events_.size()), step.stage_ops});
     }
-    if (decision.multicast) {
+    if (step.forward.multicast) {
       ++packets_multicast;
-      ++dev->stats.multicasts;
       const auto members =
-          multicast_groups_.find({dev->device_id(), decision.multicast_group});
+          multicast_groups_.find({dev->device_id(), step.forward.multicast_group});
       if (members != multicast_groups_.end()) {
         for (const NodeRef member : members->second) {
           Packet copy = packet;

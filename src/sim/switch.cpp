@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "ir/eval.hpp"
+#include "obs/flightrec.hpp"
 #include "p4/resources.hpp"
 
 namespace netcl::sim {
@@ -11,30 +12,11 @@ using namespace netcl::ir;
 using runtime::Error;
 using runtime::ErrorKind;
 
-SwitchDevice::SwitchDevice(std::uint16_t device_id, std::unique_ptr<ir::Module> module,
-                           std::vector<p4::KernelProgram> kernels, int stages_used)
-    : device_id_(device_id) {
-  ProgramArtifact artifact;
-  artifact.name = "program";
-  artifact.module = std::move(module);
-  artifact.kernels = std::move(kernels);
-  artifact.stages_used = stages_used;
-  // No per_stage accounting: the legacy single-program path loads
-  // admission-exempt, exactly as before ISSUE 7.
-  const Error err = load_program(0, std::move(artifact));
-  (void)err;
-  assert(err.ok());
-}
-
 SwitchDevice::SwitchDevice(std::uint16_t device_id) : device_id_(device_id) {}
 
 double SwitchDevice::pipeline_latency_ns() const {
   if (stages_used_ <= 0) return 0.0;
   return latency_.worst_case_ns(stages_used_);
-}
-
-const ir::Module* SwitchDevice::module() const {
-  return tenants_.empty() ? nullptr : tenants_.begin()->second.module.get();
 }
 
 // --- tenant management -------------------------------------------------------
@@ -454,13 +436,39 @@ ComputeOutcome SwitchDevice::execute(int computation, ArgValues& args,
     }
   }
 
-  // Per-tenant action outcomes, recorded at decision time (the aggregate
-  // drops_action/multicasts stay fabric-filled at apply time).
+  // Per-tenant action outcomes, recorded at decision time (process()
+  // fills the aggregate drops_action/multicasts as it applies them).
   if (outcome.action == ActionKind::Drop) ++tenant.stats.drops_action;
   if (outcome.action == ActionKind::Multicast) ++tenant.stats.multicasts;
 
   outcome.executed = true;
   return outcome;
+}
+
+StepOutcome SwitchDevice::process(Packet& packet) {
+  ComputeOutcome outcome;
+  if (const KernelSpec* spec = spec_for(packet.netcl.comp)) {
+    ArgValues args = decode_args(*spec, packet.payload);
+    outcome = execute(packet.netcl.comp, args, packet.netcl);
+    packet.payload = encode_args(*spec, args);
+    packet.netcl.len = static_cast<std::uint16_t>(packet.payload.size());
+  } else {
+    // Addressed here, but no resident kernel serves this computation id —
+    // misrouted (or not-yet-loaded) tenant traffic. The packet still
+    // passes through (§IV), but count it and leave a flight-recorder
+    // breadcrumb so operators can diagnose it (ISSUE 7).
+    ++stats.no_kernel;
+    obs::flight(obs::FlightKind::kUnknownComputation,
+                static_cast<std::uint64_t>(packet.netcl.comp), device_id_);
+  }
+  StepOutcome step;
+  // An unknown computation keeps the default outcome: Pass.
+  step.forward = runtime::apply_action(packet.netcl, outcome.action, outcome.target, device_id_);
+  if (step.forward.drop) ++stats.drops_action;
+  if (step.forward.multicast) ++stats.multicasts;
+  step.stage_ops = outcome.stage_ops;
+  step.executed = outcome.executed;
+  return step;
 }
 
 // --- control plane -----------------------------------------------------------

@@ -27,6 +27,8 @@
 // Header-only and dependency-free by design, so the sim layer can return
 // typed errors without linking netcl_runtime (which sits above netcl_sim).
 #include "runtime/error.hpp"
+// Header-only as well: the Table II action that process() applies.
+#include "runtime/device_runtime.hpp"
 #include "sim/packet.hpp"
 #include "sim/registers.hpp"
 #include "sim/table.hpp"
@@ -34,8 +36,8 @@
 
 namespace netcl::sim {
 
-/// Identifies one resident program on a device. The legacy single-program
-/// constructor loads as tenant 0.
+/// Identifies one resident program on a device. driver::make_device loads
+/// its single program as tenant 0.
 using TenantId = std::uint32_t;
 
 /// What the kernel decided about a message.
@@ -49,6 +51,14 @@ struct ComputeOutcome {
   std::uint32_t stage_ops = 0;
 };
 
+/// What one device step (SwitchDevice::process) did with a packet.
+struct StepOutcome {
+  runtime::ForwardDecision forward;
+  /// Guard-true operations the kernel executed (ComputeOutcome::stage_ops).
+  std::uint32_t stage_ops = 0;
+  bool executed = false;  // false: no kernel for the computation (passed through)
+};
+
 /// Read/write access totals for one register array.
 struct RegisterAccess {
   std::uint64_t reads = 0;
@@ -56,9 +66,10 @@ struct RegisterAccess {
 };
 
 /// Per-switch observability counters (ISSUE 1). The device fills the
-/// execution-side counters; the fabric fills the forwarding-side ones
-/// (drops/multicasts/transits) as it applies the kernel's decision. The
-/// host runtime reads them over the control plane via
+/// execution-side counters, and process() the action outcomes
+/// (drops/multicasts) as it applies the kernel's decision; the fabric and
+/// the daemon fill the forwarding-side ones (transits, recirculations).
+/// The host runtime reads them over the control plane via
 /// runtime::DeviceConnection::stats(). Each tenant additionally keeps its
 /// own copy (execution-side counters plus the action outcomes its kernels
 /// chose), so co-resident programs are individually observable.
@@ -80,7 +91,7 @@ struct DeviceStats {
 /// One compiled program, ready to load: everything driver::compile produces
 /// that the device needs, including the allocator's per-stage accounting
 /// the admission controller charges. An empty `per_stage` loads without
-/// admission accounting (legacy single-program path, tests).
+/// admission accounting (driver::make_device, tests).
 struct ProgramArtifact {
   std::string name;  // operator-facing label ("CALC", "cache.ncl")
   std::unique_ptr<ir::Module> module;
@@ -111,23 +122,14 @@ struct TenantInfo {
 
 class SwitchDevice {
  public:
-  /// Takes ownership of the compiled module plus its linearized kernels and
-  /// loads them as tenant 0 (admission-exempt — the legacy single-program
-  /// path). `stages_used` comes from the stage allocator and drives the
-  /// latency model; pass 0 for an ideal (zero-latency) device.
-  SwitchDevice(std::uint16_t device_id, std::unique_ptr<ir::Module> module,
-               std::vector<p4::KernelProgram> kernels, int stages_used);
-
-  /// A plain forwarding switch with no NetCL program.
+  /// A device with no NetCL program: a plain forwarding switch until
+  /// load_program() makes a tenant resident.
   explicit SwitchDevice(std::uint16_t device_id);
 
   [[nodiscard]] std::uint16_t device_id() const { return device_id_; }
   /// Max stages over all resident programs (drives the latency model).
   [[nodiscard]] int stages_used() const { return stages_used_; }
   [[nodiscard]] double pipeline_latency_ns() const;
-  /// First resident tenant's module (legacy accessor; prefer per-tenant
-  /// inspection via tenant_table()).
-  [[nodiscard]] const ir::Module* module() const;
 
   // --- tenant management (ISSUE 7) -----------------------------------------
   /// Loads a compiled program as `tenant`. Fails with kRejected when the
@@ -173,6 +175,15 @@ class SwitchDevice {
   /// (mutated in place: by-ref writes land here) under the given header.
   ComputeOutcome execute(int computation, ArgValues& args, const NetclHeader& header);
 
+  /// The device step for a NetCL packet addressed to this device
+  /// (netcl.to == device_id()), shared by sim::Fabric, netcl-swd and the
+  /// host fallback: decode the arguments, execute, re-encode them and set
+  /// netcl.len, then apply the Table II action to the header (§VI-C) and
+  /// count drops and multicasts. A computation with no resident kernel
+  /// passes through (§IV), counted as no_kernel. Callers keep what differs
+  /// between them: the INT clock, SLOs, multicast fan-out.
+  StepOutcome process(Packet& packet);
+
   // --- control plane (host runtime's managed-memory path) -----------------
   /// Resolves `name[indices...]`, transparently following access-based
   /// partitioning renames (cms[0][i] finds cms$0[i]). The name is looked up
@@ -204,8 +215,8 @@ class SwitchDevice {
   void restart();
 
   // --- statistics -----------------------------------------------------------
-  /// Device-wide aggregate (sum over tenants plus forwarding-side counters
-  /// the fabric fills).
+  /// Device-wide aggregate (sum over tenants plus the action and
+  /// forwarding-side counters).
   DeviceStats stats;
   /// Per-register-array access counters, keyed by the (possibly
   /// partition-renamed) global name, merged across tenants.

@@ -6,6 +6,8 @@
 
 #include <chrono>
 #include <cstring>
+#include <functional>
+#include <tuple>
 #include <thread>
 
 #include "apps/sources.hpp"
@@ -18,7 +20,6 @@
 #include "runtime/error.hpp"
 #include "runtime/failure.hpp"
 #include "runtime/host.hpp"
-#include "runtime/host_exec.hpp"
 #include "sim/fabric.hpp"
 
 namespace netcl::net {
@@ -549,8 +550,7 @@ TEST(SwdServer, HostExecuteFallbackIsByteIdenticalOverRealUdp) {
       detector_config);
   host.attach_failure_detector(detector);
   host.set_fallback_policy(runtime::FallbackPolicy::kHostExecute);
-  host.set_host_executor(
-      std::make_unique<runtime::HostExecutor>(driver::make_device(compile_calc(1), 1)));
+  host.set_shadow_device(driver::make_device(compile_calc(1), 1));
   detector.start();
 
   const std::size_t half = cases.size() / 2;
@@ -583,6 +583,157 @@ TEST(SwdServer, HostExecuteFallbackIsByteIdenticalOverRealUdp) {
 
   EXPECT_EQ(real_results, sim_results);
   EXPECT_EQ(static_cast<std::uint64_t>(host.fallback_host_executed), cases.size() - half);
+}
+
+// --- one device step on every path ------------------------------------------
+
+/// One request of the cross-path table. A short request packs only `op`
+/// and `a` (the host registers a truncated layout for it), so the device
+/// zero-fills the rest and re-encodes the full layout.
+struct StepCase {
+  std::uint8_t comp;
+  std::uint64_t op, a, b;
+  bool short_payload = false;
+};
+
+const std::vector<StepCase>& step_cases() {
+  static const std::vector<StepCase> cases = {
+      {1, apps::kCalcAdd, 20, 22},
+      {1, apps::kCalcSub, 100, 58},
+      {1, apps::kCalcAnd, 0xF0F0, 0xFF00},
+      {1, apps::kCalcOr, 0xF0F0, 0x0F0F},
+      {1, apps::kCalcXor, 0xFFFF, 0x00FF},
+      {1, 0xEE, 1, 2},                  // no such opcode: the kernel drops
+      {9, apps::kCalcAdd, 1, 2},        // no kernel for comp 9: passes through
+      {1, apps::kCalcAdd, 7, 5, true},  // last: it re-registers comp 1
+  };
+  return cases;
+}
+
+/// What a host observes of one response: the header fields unpack exposes
+/// (src, dst, comp, device) and the argument bytes in the host's layout.
+using Observed =
+    std::tuple<std::uint16_t, std::uint16_t, int, std::uint16_t, std::vector<std::uint8_t>>;
+
+/// The DeviceStats fields every path must agree on.
+std::vector<std::uint64_t> step_counts(const sim::DeviceStats& stats) {
+  return {stats.packets_processed, stats.kernels_executed, stats.no_kernel,
+          stats.drops_action, stats.multicasts};
+}
+
+/// Sends the table from host 1 one request at a time, calling `settle`
+/// after each send until that request is answered or dropped.
+std::vector<Observed> drive_step_cases(HostRuntime& host, const KernelSpec& spec,
+                                       const std::function<void()>& settle) {
+  std::vector<Observed> observed;
+  host.register_spec(1, spec);
+  host.register_spec(9, spec);
+  host.on_receive([&](const Message& message, ArgValues& args) {
+    observed.emplace_back(message.src, message.dst, message.comp, message.device,
+                          sim::encode_args(*host.spec_for(message.comp), args));
+  });
+  for (const StepCase& c : step_cases()) {
+    if (c.short_payload) {
+      KernelSpec short_spec = spec;
+      short_spec.args.resize(2);
+      host.register_spec(1, short_spec);
+    }
+    ArgValues args = sim::make_args(*host.spec_for(c.comp));
+    args[0][0] = c.op;
+    args[1][0] = c.a;
+    if (!c.short_payload) args[2][0] = c.b;
+    host.send(Message(1, 1, c.comp, 1), args);
+    settle();
+  }
+  host.on_receive(nullptr);
+  return observed;
+}
+
+TEST(DeviceStep, FabricDaemonAndFallbackAgree) {
+  const KernelSpec spec = compile_calc(1).specs.at(1);
+
+  std::vector<Observed> fabric_seen;
+  std::vector<std::uint64_t> fabric_counts;
+  {
+    sim::Fabric fabric(3);
+    fabric.add_device(driver::make_device(compile_calc(1), 1));
+    fabric.connect(sim::host_ref(1), sim::device_ref(1));
+    HostRuntime host(fabric, 1);
+    fabric_seen = drive_step_cases(host, spec, [&] { fabric.run(); });
+    fabric_counts = step_counts(fabric.device(1)->stats);
+  }
+
+  // An in-process daemon over loopback UDP, polled from this thread.
+  std::vector<Observed> swd_seen;
+  std::vector<std::uint64_t> swd_counts;
+  {
+    SwdServer server(driver::make_device(compile_calc(1), 1), SwdOptions{});
+    ASSERT_TRUE(server.valid()) << server.error();
+    UdpTransport::Options transport_options;
+    transport_options.peer_port = server.udp_port();
+    UdpTransport transport(transport_options);
+    ASSERT_TRUE(transport.valid()) << transport.error();
+    HostRuntime host(transport, 1);
+    std::uint64_t sent = 0;
+    swd_seen = drive_step_cases(host, spec, [&] {
+      ++sent;
+      const std::uint64_t answered = host.received.value();
+      for (int i = 0; i < 500 && server.packets_received.value() < sent; ++i) {
+        server.poll_once(10);
+      }
+      // A dropped request never answers; the wait is then the full 50 ms.
+      transport.run_until([&] { return host.received.value() > answered; }, 50e6);
+    });
+    swd_counts = step_counts(server.device().stats);
+  }
+
+  // The host fallback: the device crashed and was declared DOWN, so every
+  // send runs on the shadow device.
+  std::vector<Observed> fallback_seen;
+  std::vector<std::uint64_t> fallback_counts;
+  {
+    sim::Fabric fabric(3);
+    fabric.add_device(driver::make_device(compile_calc(1), 1));
+    fabric.connect(sim::host_ref(1), sim::device_ref(1));
+    HostRuntime host(fabric, 1);
+    DeviceConnection connection(fabric, 1);
+    runtime::FailureDetector::Config config;
+    config.interval_ns = 1000.0;
+    config.miss_threshold = 2;
+    runtime::FailureDetector detector(
+        host.transport(),
+        [&] {
+          runtime::FailureDetector::ProbeResult result;
+          runtime::PingInfo info;
+          result.reachable = connection.ping(info);
+          result.generation = info.generation;
+          return result;
+        },
+        config);
+    host.attach_failure_detector(detector);
+    host.set_fallback_policy(runtime::FallbackPolicy::kHostExecute);
+    auto shadow_device = driver::make_device(compile_calc(1), 1);
+    const sim::SwitchDevice& shadow = *shadow_device;
+    host.set_shadow_device(std::move(shadow_device));
+    detector.start();
+    fabric.run(1500.0);
+    fabric.crash_device(1);
+    fabric.run(4500.0);
+    ASSERT_FALSE(detector.up());
+    fallback_seen = drive_step_cases(host, spec, [] {});
+    fallback_counts = step_counts(shadow.stats);
+    EXPECT_EQ(host.fallback_host_executed.value(), step_cases().size());
+    detector.stop();
+  }
+
+  // Everything but the dropped request is answered.
+  ASSERT_EQ(fabric_seen.size(), step_cases().size() - 1);
+  EXPECT_EQ(swd_seen, fabric_seen);
+  EXPECT_EQ(fallback_seen, fabric_seen);
+  // processed, executed, no_kernel, drops_action, multicasts
+  EXPECT_EQ(fabric_counts, (std::vector<std::uint64_t>{7, 7, 1, 1, 0}));
+  EXPECT_EQ(swd_counts, fabric_counts);
+  EXPECT_EQ(fallback_counts, fabric_counts);
 }
 
 TEST(SimTransport, PartitionedLinkDropsButNeverBlocks) {

@@ -8,6 +8,8 @@
 // predication, interpretation).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "apps/sources.hpp"
 #include "driver/compiler.hpp"
 #include "ir/eval.hpp"
@@ -178,6 +180,11 @@ struct AtomicCase {
   bool returns_new;
 };
 
+// Print the kernel text rather than gtest's default byte dump: the dump holds
+// a load address, so test names listed by --gtest_list_tests would change on
+// every run.
+void PrintTo(const AtomicCase& c, std::ostream* os) { *os << c.call; }
+
 class AtomicSweep : public ::testing::TestWithParam<AtomicCase> {};
 
 TEST_P(AtomicSweep, MatchesReferenceFold) {
@@ -231,6 +238,10 @@ struct AllocCase {
   const char* app;
   bool speculation;
 };
+
+void PrintTo(const AllocCase& c, std::ostream* os) {
+  *os << c.app << (c.speculation ? ", spec on" : ", spec off");
+}
 
 class AllocationInvariants : public ::testing::TestWithParam<AllocCase> {};
 

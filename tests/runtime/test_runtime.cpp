@@ -9,7 +9,6 @@
 #include "runtime/error.hpp"
 #include "runtime/failure.hpp"
 #include "runtime/host.hpp"
-#include "runtime/host_exec.hpp"
 #include "runtime/retransmit.hpp"
 #include "support/hashes.hpp"
 
@@ -480,7 +479,7 @@ TEST(Fallback, HostExecuteIsByteIdenticalToUninterruptedRun) {
   // Runs all ops sequentially (send i+1 once i answered), with a per-op
   // resend timer so ops lost to a crash-before-detection are retried.
   // With crash_at > 0 the device dies mid-run and never comes back; the
-  // host executor must take over.
+  // shadow device must take over.
   auto run = [&](double crash_at_ns) {
     auto compiled = compile_app(app.source, app.defines);
     sim::Fabric fabric(3);
@@ -495,8 +494,7 @@ TEST(Fallback, HostExecuteIsByteIdenticalToUninterruptedRun) {
     FailureDetector detector(host.transport(), probe_of(connection), config);
     host.attach_failure_detector(detector);
     host.set_fallback_policy(FallbackPolicy::kHostExecute);
-    host.set_host_executor(std::make_unique<HostExecutor>(
-        driver::make_device(compile_app(app.source, app.defines), 1)));
+    host.set_shadow_device(driver::make_device(compile_app(app.source, app.defines), 1));
     detector.start();
 
     std::vector<std::vector<std::uint8_t>> results;
@@ -535,6 +533,54 @@ TEST(Fallback, HostExecuteIsByteIdenticalToUninterruptedRun) {
   const auto crashed = run(4200.0);  // mid-run, between two ops
   ASSERT_EQ(uninterrupted.size(), ops.size());
   EXPECT_EQ(crashed, uninterrupted);
+}
+
+TEST(Fallback, HostExecuteCountsDropsAndUnknownComputations) {
+  // The shadow device accounts a packet exactly as the device would: a
+  // kernel's drop() is a drops_action, a computation with no kernel a
+  // no_kernel that still passes through.
+  apps::AppSource app = apps::calc_source();
+  auto compiled = compile_app(app.source, app.defines);
+  const KernelSpec spec = compiled.specs.at(1);
+  sim::Fabric fabric(3);
+  fabric.add_device(driver::make_device(std::move(compiled), 1));
+  fabric.connect(sim::host_ref(1), sim::device_ref(1));
+  HostRuntime host(fabric, 1);
+  host.register_spec(1, spec);
+  host.register_spec(9, spec);
+  DeviceConnection connection(fabric, 1);
+  FailureDetector::Config config;
+  config.interval_ns = 1000.0;
+  config.miss_threshold = 2;
+  FailureDetector detector(host.transport(), probe_of(connection), config);
+  host.attach_failure_detector(detector);
+  host.set_fallback_policy(FallbackPolicy::kHostExecute);
+  auto shadow_device = driver::make_device(compile_app(app.source, app.defines), 1);
+  const sim::SwitchDevice& shadow = *shadow_device;
+  host.set_shadow_device(std::move(shadow_device));
+  detector.start();
+  std::vector<int> delivered;
+  host.on_receive([&](const Message& message, sim::ArgValues&) {
+    delivered.push_back(message.comp);
+  });
+
+  fabric.run(1500.0);
+  fabric.crash_device(1);
+  fabric.run(4500.0);
+  ASSERT_FALSE(detector.up());
+
+  sim::ArgValues args = sim::make_args(spec);
+  args[0][0] = 0xEE;  // no such opcode: the kernel drops
+  host.send(Message(1, 1, 1, 1), args);
+  EXPECT_TRUE(delivered.empty());
+  EXPECT_EQ(shadow.stats.drops_action, 1u);
+
+  args[0][0] = apps::kCalcAdd;
+  host.send(Message(1, 1, 9, 1), args);
+  EXPECT_EQ(delivered, std::vector<int>{9});
+  EXPECT_EQ(shadow.stats.no_kernel, 1u);
+  EXPECT_EQ(host.fallback_host_executed, 2u);
+  detector.stop();
 }
 
 TEST(DeviceConnection, ResyncReplaysJournalAfterRestart) {

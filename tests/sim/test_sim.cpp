@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "apps/sources.hpp"
 #include "driver/compiler.hpp"
 #include "runtime/host.hpp"
 #include "sim/fabric.hpp"
@@ -510,6 +511,39 @@ TEST(EndToEnd, SendToDeviceChain) {
   fabric.run();
   EXPECT_EQ(client_got, 1);
   EXPECT_EQ(mark, 111u);  // both kernels ran, in order
+}
+
+TEST(EndToEnd, ShortPayloadArrivesWithReencodedLength) {
+  // A CALC request carrying only `op` and `a`: the device zero-fills the
+  // rest, computes, and re-encodes the full argument layout. The length
+  // field must follow the payload it now describes.
+  const apps::AppSource app = apps::calc_source();
+  CompileOptions options;
+  options.defines = app.defines;
+  auto compiled = compile_ok(app.source, options);
+  const KernelSpec spec = compiled.specs.at(1);
+  Fabric fabric;
+  fabric.add_device(make_device(std::move(compiled), 1));
+  fabric.connect(host_ref(1), device_ref(1));
+  std::vector<Packet> arrived;
+  fabric.set_host_handler(1, [&](Fabric&, std::uint16_t, const Packet& packet) {
+    arrived.push_back(packet);
+  });
+
+  Packet packet;
+  packet.has_netcl = true;
+  packet.netcl.src = 1;
+  packet.netcl.to = 1;
+  packet.netcl.comp = 1;
+  packet.payload = {apps::kCalcAdd, 7, 0, 0, 0};
+  packet.netcl.len = static_cast<std::uint16_t>(packet.payload.size());
+  fabric.send_from_host(1, packet);
+  fabric.run();
+
+  ASSERT_EQ(arrived.size(), 1u);
+  EXPECT_EQ(arrived[0].payload.size(), static_cast<std::size_t>(spec.byte_size()));
+  EXPECT_EQ(arrived[0].netcl.len, arrived[0].payload.size());
+  EXPECT_EQ(decode_args(spec, arrived[0].payload)[3][0], 7u);  // result = 7 + 0
 }
 
 }  // namespace
