@@ -49,7 +49,6 @@ std::unique_ptr<Transport> make_transport(const std::string& uri,
     options.peer_host = std::string(address.substr(0, colon));
     options.peer_port = port;
     options.metrics_name = context.metrics_name;
-    options.max_syscall_batch = context.max_syscall_batch;
     auto transport = std::make_unique<UdpTransport>(options);
     // error() also catches a well-formed port with an unparseable host
     // (set_peer failed but the socket itself is fine).

@@ -30,8 +30,6 @@ struct TransportContext {
   std::uint16_t host_id = 0;
   /// Metrics registry name for "udp://" transports.
   std::string metrics_name = "udp";
-  /// Datagrams per mmsg syscall for "udp://" transports.
-  std::size_t max_syscall_batch = UdpTransport::kMaxBatch;
 };
 
 /// Builds a transport from a URI, or nullptr on an unknown scheme, a

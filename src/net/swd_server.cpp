@@ -23,10 +23,6 @@ namespace netcl::net {
 
 namespace {
 
-constexpr std::size_t kMaxDatagram = 65536;
-/// Datagrams moved per sendmmsg/recvmmsg call (the mmsghdr arrays live on
-/// the stack at this size).
-constexpr std::size_t kIoBatch = 32;
 /// Receive bursts per poll cycle. A sustained flood must not pin the loop
 /// inside drain_data_socket — past this budget the excess stays in (and
 /// overflows) the kernel socket buffer, and the cycle moves on to the
@@ -63,11 +59,11 @@ SwdServer::SwdServer(std::unique_ptr<sim::SwitchDevice> device, const SwdOptions
     : metrics_("swd" + std::to_string(device->device_id())),
       device_(std::move(device)),
       compiler_(options.compiler),
+      socket_(metrics_, options.udp_port),
       verbose_(options.verbose),
       max_seconds_(options.max_seconds),
       idle_timeout_seconds_(options.idle_timeout_seconds),
       epoch_(std::chrono::steady_clock::now()) {
-  pool_.bind_metrics(metrics_);
   // Overload-control knobs (ISSUE 8).
   if (options.ingress_queue_capacity > 0) ingress_capacity_ = options.ingress_queue_capacity;
   if (options.max_cycle_execute > 0) max_cycle_execute_ = options.max_cycle_execute;
@@ -99,23 +95,23 @@ SwdServer::SwdServer(std::unique_ptr<sim::SwitchDevice> device, const SwdOptions
                 std::chrono::duration_cast<std::chrono::milliseconds>(
                     std::chrono::system_clock::now().time_since_epoch())
                     .count()));
-  udp_fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
+  if (!socket_.valid()) {
+    error_ = socket_.error();
+    return;
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (udp_fd_ < 0 || listen_fd_ < 0) {
+  if (listen_fd_ < 0) {
     error_ = std::string("socket: ") + std::strerror(errno);
     return;
   }
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  udp_port_ = bind_and_resolve(udp_fd_, options.udp_port);
   control_port_ = bind_and_resolve(listen_fd_, options.control_port);
-  if (udp_port_ == 0 || control_port_ == 0 || ::listen(listen_fd_, 8) != 0) {
+  if (control_port_ == 0 || ::listen(listen_fd_, 8) != 0) {
     error_ = std::string("bind/listen: ") + std::strerror(errno);
-    udp_port_ = 0;
     control_port_ = 0;
     return;
   }
-  set_nonblocking(udp_fd_);
   set_nonblocking(listen_fd_);
   if (options.metrics_port >= 0) {
     metrics_enabled_ = true;
@@ -127,7 +123,6 @@ SwdServer::SwdServer(std::unique_ptr<sim::SwitchDevice> device, const SwdOptions
     }
     if (metrics_listen_fd_ < 0 || metrics_port_ == 0 || ::listen(metrics_listen_fd_, 8) != 0) {
       error_ = std::string("metrics bind/listen: ") + std::strerror(errno);
-      udp_port_ = 0;
       control_port_ = 0;
       metrics_port_ = 0;
       return;
@@ -139,7 +134,6 @@ SwdServer::SwdServer(std::unique_ptr<sim::SwitchDevice> device, const SwdOptions
 SwdServer::~SwdServer() {
   for (const Connection& connection : connections_) ::close(connection.fd);
   for (const Connection& connection : metrics_connections_) ::close(connection.fd);
-  if (udp_fd_ >= 0) ::close(udp_fd_);
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (metrics_listen_fd_ >= 0) ::close(metrics_listen_fd_);
 }
@@ -151,7 +145,7 @@ std::uint64_t SwdServer::device_clock_ns() const {
 }
 
 bool SwdServer::valid() const {
-  return udp_port_ != 0 && control_port_ != 0 && (!metrics_enabled_ || metrics_port_ != 0);
+  return socket_.valid() && control_port_ != 0 && (!metrics_enabled_ || metrics_port_ != 0);
 }
 
 void SwdServer::send_to_host(std::uint16_t host, const sim::Packet& packet) {
@@ -161,52 +155,12 @@ void SwdServer::send_to_host(std::uint16_t host, const sim::Packet& packet) {
     return;
   }
   // Queue rather than send: the whole cycle's output goes out in one
-  // sendmmsg flush, and the pooled buffer makes the serialization
-  // allocation-free at steady state. packets_sent is counted at the flush.
-  EgressDatagram out;
-  out.to = it->second;
-  out.wire = pool_.acquire();
-  serialize_packet(packet, out.wire);
-  egress_.push_back(std::move(out));
+  // flush, and the pooled buffer makes the serialization allocation-free
+  // at steady state. packets_sent is counted at the flush.
+  serialize_packet(packet, socket_.queue(it->second));
 }
 
-void SwdServer::flush_egress() {
-  if (egress_.empty()) return;
-#if NETCL_HAVE_MMSG
-  std::size_t offset = 0;
-  while (offset < egress_.size()) {
-    const std::size_t chunk = std::min(kIoBatch, egress_.size() - offset);
-    mmsghdr msgs[kIoBatch];
-    iovec iovs[kIoBatch];
-    std::memset(msgs, 0, chunk * sizeof(mmsghdr));
-    for (std::size_t i = 0; i < chunk; ++i) {
-      EgressDatagram& out = egress_[offset + i];
-      iovs[i] = {out.wire.data(), out.wire.size()};
-      // Unlike a connected host transport, the daemon fans out to many
-      // hosts — mmsg carries a destination per message.
-      msgs[i].msg_hdr.msg_name = &out.to;
-      msgs[i].msg_hdr.msg_namelen = sizeof(out.to);
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
-    }
-    const int sent = ::sendmmsg(udp_fd_, msgs, static_cast<unsigned>(chunk), 0);
-    ++send_syscalls;
-    if (sent <= 0) break;
-    packets_sent.inc(static_cast<std::uint64_t>(sent));
-    // Partial completion: resume at the first untaken message.
-    offset += static_cast<std::size_t>(sent);
-  }
-#else
-  for (const EgressDatagram& out : egress_) {
-    const ssize_t sent = ::sendto(udp_fd_, out.wire.data(), out.wire.size(), 0,
-                                  reinterpret_cast<const sockaddr*>(&out.to), sizeof(out.to));
-    ++send_syscalls;
-    if (sent == static_cast<ssize_t>(out.wire.size())) ++packets_sent;
-  }
-#endif
-  for (EgressDatagram& out : egress_) pool_.release(std::move(out.wire));
-  egress_.clear();
-}
+void SwdServer::flush_egress() { socket_.flush(); }
 
 void SwdServer::emit(sim::Packet&& packet) {
   if (packet.netcl.to != 0 && packet.netcl.to != device_->device_id()) {
@@ -217,74 +171,34 @@ void SwdServer::emit(sim::Packet&& packet) {
   send_to_host(packet.netcl.dst, packet);
 }
 
-void SwdServer::ensure_rx_storage() {
-  if (!rx_buffers_.empty()) return;
-  // 64 KiB per slot is too big for the stack at batch 32 (2 MiB); allocate
-  // the staging area once on first receive and reuse it every cycle.
-  rx_buffers_.resize(kIoBatch);
-  for (std::vector<std::uint8_t>& buffer : rx_buffers_) buffer.resize(kMaxDatagram);
-}
-
 void SwdServer::drain_data_socket(bool crashed) {
-  ensure_rx_storage();
   // Position within this receive burst doubles as the INT queue-depth
   // stamp — the daemon's analogue of the simulator's event-queue depth.
   std::uint32_t burst_index = 0;
   for (int bursts = 0; bursts < kMaxDrainBursts; ++bursts) {
-#if NETCL_HAVE_MMSG
-    mmsghdr msgs[kIoBatch];
-    iovec iovs[kIoBatch];
-    sockaddr_in froms[kIoBatch];
-    std::memset(msgs, 0, sizeof(msgs));
-    for (std::size_t i = 0; i < kIoBatch; ++i) {
-      iovs[i] = {rx_buffers_[i].data(), kMaxDatagram};
-      msgs[i].msg_hdr.msg_name = &froms[i];
-      msgs[i].msg_hdr.msg_namelen = sizeof(froms[i]);
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
-    }
-    const int received = ::recvmmsg(udp_fd_, msgs, kIoBatch, 0, nullptr);
-    ++recv_syscalls;
-    if (received <= 0) return;  // EAGAIN/EWOULDBLOCK: drained
-    for (int i = 0; i < received; ++i) {
+    const std::span<const DatagramSocket::Datagram> burst = socket_.receive();
+    for (const DatagramSocket::Datagram& datagram : burst) {
       if (crashed) {
         ++packets_dropped_crashed;
         continue;
       }
-      admit_datagram(rx_buffers_[static_cast<std::size_t>(i)].data(), msgs[i].msg_len,
-                     froms[i], burst_index++);
+      admit_datagram(datagram.bytes, datagram.from, burst_index++);
     }
-    // A short batch means the queue is (almost certainly) empty; anything
+    // A short burst means the queue is (almost certainly) empty; anything
     // racing in after the syscall is picked up on the next poll turn.
-    if (static_cast<std::size_t>(received) < kIoBatch) return;
-#else
-    for (std::size_t i = 0; i < kIoBatch; ++i) {
-      sockaddr_in from{};
-      socklen_t from_len = sizeof(from);
-      const ssize_t n = ::recvfrom(udp_fd_, rx_buffers_[0].data(), kMaxDatagram, 0,
-                                   reinterpret_cast<sockaddr*>(&from), &from_len);
-      ++recv_syscalls;
-      if (n < 0) return;
-      if (crashed) {
-        ++packets_dropped_crashed;
-        continue;
-      }
-      admit_datagram(rx_buffers_[0].data(), static_cast<std::size_t>(n), from, burst_index++);
-    }
-#endif
+    if (burst.size() < socket_.batch()) return;
   }
 }
 
-void SwdServer::admit_datagram(const std::uint8_t* data, std::size_t size,
-                               const sockaddr_in& from, std::uint32_t queue_depth) {
+void SwdServer::admit_datagram(std::span<const std::uint8_t> bytes, const sockaddr_in& from,
+                               std::uint32_t queue_depth) {
   sim::Packet packet;
-  const runtime::Error err = deserialize_packet_e({data, size}, packet);
+  const runtime::Error err = deserialize_packet_e(bytes, packet);
   if (!err.ok()) {
     // Hostile or corrupt bytes: count globally and per source endpoint
     // (top-K, bounded — spoofed sources cannot grow the tracker), leave a
     // flight-recorder breadcrumb, and move on. Nothing unvalidated crosses
     // this line into the engine.
-    ++deserialize_errors;
     ++packets_malformed;
     malformed_sources_.add(endpoint_string(from));
     obs::flight(obs::FlightKind::kMalformedDatagram,
@@ -993,7 +907,7 @@ void SwdServer::poll_once(int timeout_ms) {
     std::erase_if(connections_, [](const Connection& connection) { return connection.fd < 0; });
   }
   std::vector<pollfd> fds;
-  fds.push_back({udp_fd_, POLLIN, 0});
+  fds.push_back({socket_.fd(), POLLIN, 0});
   fds.push_back({listen_fd_, POLLIN, 0});
   for (const Connection& connection : connections_) {
     fds.push_back({connection.fd, POLLIN, 0});

@@ -27,7 +27,7 @@
 #include <span>
 #include <vector>
 
-#include "net/buffer_pool.hpp"
+#include "net/datagram_socket.hpp"
 #include "net/policer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
@@ -107,7 +107,7 @@ class SwdServer {
 
   [[nodiscard]] bool valid() const;
   [[nodiscard]] const std::string& error() const { return error_; }
-  [[nodiscard]] std::uint16_t udp_port() const { return udp_port_; }
+  [[nodiscard]] std::uint16_t udp_port() const { return socket_.local_port(); }
   [[nodiscard]] std::uint16_t control_port() const { return control_port_; }
   /// 0 when the scrape endpoint is disabled.
   [[nodiscard]] std::uint16_t metrics_port() const { return metrics_port_; }
@@ -143,9 +143,7 @@ class SwdServer {
   obs::Counter& packets_received = metrics_.counter("packets_received");
   obs::Counter& packets_sent = metrics_.counter("packets_sent");
   obs::Counter& packets_dropped_action = metrics_.counter("packets_dropped_action");
-  /// Datagram arrived but was not a well-formed NetCL wire packet.
-  obs::Counter& deserialize_errors = metrics_.counter("deserialize_errors");
-  /// Same events as deserialize_errors under the ISSUE 8 perimeter name;
+  /// Datagram arrived but was not a well-formed NetCL wire packet;
   /// per-source attribution renders as malformed.by_source gauges.
   obs::Counter& packets_malformed = metrics_.counter("packets.malformed");
   /// Packets shed by the per-tenant token-bucket policer (the flooding
@@ -184,8 +182,9 @@ class SwdServer {
   obs::Counter& kernels_loaded = metrics_.counter("kernels_loaded");
   obs::Counter& kernels_unloaded = metrics_.counter("kernels_unloaded");
   obs::Counter& kernels_rejected = metrics_.counter("kernels_rejected");
-  /// Data-plane syscalls (sendmmsg/sendto, recvmmsg/recvfrom). With the
-  /// mmsg fast path these grow ~1/32 as fast as the packet counters.
+  /// Data-plane syscalls. Batched, these grow ~1/32 as fast as the packet
+  /// counters. The socket also counts bytes_sent, gso_batches and
+  /// send_errors into this registry.
   obs::Counter& send_syscalls = metrics_.counter("send_syscalls");
   obs::Counter& recv_syscalls = metrics_.counter("recv_syscalls");
 
@@ -222,7 +221,7 @@ class SwdServer {
   /// Parses + polices one datagram and queues it on ingress_ (drop-oldest
   /// on overflow). Malformed input and policer sheds are counted and
   /// flight-recorded here; nothing unvalidated crosses this line.
-  void admit_datagram(const std::uint8_t* data, std::size_t size, const sockaddr_in& from,
+  void admit_datagram(std::span<const std::uint8_t> bytes, const sockaddr_in& from,
                       std::uint32_t queue_depth);
   /// Runs the device step (SwitchDevice::process) over one admitted
   /// packet, then stamps, SLO-accounts and forwards or fans it out.
@@ -234,16 +233,14 @@ class SwdServer {
   bool police(sim::TenantId tenant, double now_s);
   void count_shed(sim::TenantId tenant, bool policer);
   void emit(sim::Packet&& packet);
-  /// Serializes into a pooled buffer and queues the datagram on egress_;
-  /// flush_egress() puts the whole cycle's output on the wire afterwards.
+  /// Serializes into the socket's egress queue; flush_egress() puts the
+  /// whole cycle's output on the wire afterwards.
   void send_to_host(std::uint16_t host, const sim::Packet& packet);
-  /// Drains the UDP socket (recvmmsg bursts when available) and admits
-  /// every datagram of the cycle into the ingress queue.
+  /// Drains up to kMaxDrainBursts receive bursts and admits every datagram
+  /// of the cycle into the ingress queue.
   void drain_data_socket(bool crashed);
-  /// Transmits the queued egress datagrams, batched through sendmmsg with
-  /// per-message destinations, in FIFO (emission) order.
+  /// Transmits the cycle's egress in emission order.
   void flush_egress();
-  void ensure_rx_storage();
   void accept_connection();
   /// Reads what is available; closes the connection on EOF/protocol error.
   void service_connection(Connection& connection);
@@ -266,11 +263,6 @@ class SwdServer {
   /// "<base>/source/<ip:port>" registries (`source` label on the wire).
   void mirror_malformed_sources();
 
-  struct EgressDatagram {
-    sockaddr_in to{};
-    std::vector<std::uint8_t> wire;  // borrowed from pool_ until the flush
-  };
-
   std::unique_ptr<sim::SwitchDevice> device_;
   sim::ProgramCompiler compiler_;
   /// Per-tenant metric registries, created on first sight of a tenant and
@@ -278,16 +270,10 @@ class SwdServer {
   /// unload, so last-known values still render).
   std::map<sim::TenantId, std::unique_ptr<obs::MetricsRegistry>> tenant_metrics_;
   std::string error_;
-  /// Wire buffers recycled across cycles: egress serialization borrows
-  /// from the pool, flush_egress() returns every buffer after the send.
-  BufferPool pool_;
-  std::vector<EgressDatagram> egress_;
-  /// Receive staging for recvmmsg bursts, allocated lazily (64 KiB/slot).
-  std::vector<std::vector<std::uint8_t>> rx_buffers_;
-  int udp_fd_ = -1;
+  /// The UDP data plane.
+  DatagramSocket socket_;
   int listen_fd_ = -1;
   int metrics_listen_fd_ = -1;
-  std::uint16_t udp_port_ = 0;
   std::uint16_t control_port_ = 0;
   std::uint16_t metrics_port_ = 0;
   bool metrics_enabled_ = false;

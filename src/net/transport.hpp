@@ -12,8 +12,8 @@
 // send_batch(), and the single-packet send() is a thin wrapper around a
 // one-element batch. Symmetrically, receivers may opt into whole-batch
 // delivery with set_batch_receiver(); transports that drain multiple
-// packets per event-loop turn (UdpTransport via recvmmsg) hand the burst
-// over in one call instead of one callback per packet. Batch order is the
+// packets per event-loop turn (UdpTransport, a burst per syscall) hand the
+// burst over in one call instead of one callback per packet. Batch order is the
 // wire order: send_batch(p0..pn) puts p0 first on the wire, and a
 // delivered batch preserves arrival order.
 #pragma once

@@ -1,16 +1,9 @@
 #include "net/udp_transport.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#if NETCL_HAVE_UDP_GSO
-#include <netinet/udp.h>
-#endif
 
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 
 #include "net/wire.hpp"
@@ -20,13 +13,6 @@
 namespace netcl::net {
 
 namespace {
-
-/// Largest datagram we accept: wire header + a full 64 KiB payload bound.
-constexpr std::size_t kMaxDatagram = 65536;
-
-/// Conservative cap on one GSO super-datagram (the kernel bounds the
-/// gathered payload by the 65507-byte UDP maximum).
-constexpr std::size_t kMaxGsoBytes = 65000;
 
 bool make_addr(const std::string& host, std::uint16_t port, sockaddr_in& out) {
   std::memset(&out, 0, sizeof(out));
@@ -39,38 +25,11 @@ bool make_addr(const std::string& host, std::uint16_t port, sockaddr_in& out) {
 
 UdpTransport::UdpTransport(const Options& options)
     : metrics_(options.metrics_name),
-      max_syscall_batch_(std::clamp<std::size_t>(options.max_syscall_batch, 1, kMaxBatch)),
+      socket_(metrics_, options.bind_port, options.max_syscall_batch),
+      error_(socket_.error()),
+      rx_batch_(socket_.batch()),
       epoch_(std::chrono::steady_clock::now()) {
-  pool_.bind_metrics(metrics_);
-  fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd_ < 0) {
-    error_ = std::string("socket: ") + std::strerror(errno);
-    return;
-  }
-  sockaddr_in local{};
-  local.sin_family = AF_INET;
-  local.sin_addr.s_addr = htonl(INADDR_ANY);
-  local.sin_port = htons(options.bind_port);
-  if (::bind(fd_, reinterpret_cast<sockaddr*>(&local), sizeof(local)) != 0) {
-    error_ = std::string("bind: ") + std::strerror(errno);
-    ::close(fd_);
-    fd_ = -1;
-    return;
-  }
-  socklen_t len = sizeof(local);
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&local), &len) == 0) {
-    local_port_ = ntohs(local.sin_port);
-  }
-  const int flags = ::fcntl(fd_, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
-#if NETCL_HAVE_UDP_GSO && NETCL_HAVE_MMSG
-  gso_enabled_ = options.allow_gso;
-#endif
   if (options.peer_port != 0) set_peer(options.peer_host, options.peer_port);
-}
-
-UdpTransport::~UdpTransport() {
-  if (fd_ >= 0) ::close(fd_);
 }
 
 void UdpTransport::set_peer(const std::string& host, std::uint16_t port) {
@@ -80,154 +39,13 @@ void UdpTransport::set_peer(const std::string& host, std::uint16_t port) {
 
 void UdpTransport::send_batch(std::span<sim::Packet> packets) {
   if (packets.empty()) return;
-  if (fd_ < 0 || !has_peer_) {
+  if (!socket_.valid() || !has_peer_) {
     send_errors.inc(packets.size());
     return;
   }
-  // Serialize the whole batch into pooled wire buffers up front; the
-  // syscall layer below then deals in plain byte vectors. The buffers are
-  // borrowed from the pool for the duration of this call, so steady-state
-  // sending does not touch the allocator.
-  tx_wire_.clear();
-  tx_wire_.reserve(packets.size());
-  for (const sim::Packet& packet : packets) {
-    std::vector<std::uint8_t> wire = pool_.acquire();
-    serialize_packet(packet, wire);
-    tx_wire_.push_back(std::move(wire));
-  }
-  const std::uint64_t sent_before = packets_sent.value();
-  transmit_wire_batch();
-  obs::flight(obs::FlightKind::kBatchSend, packets.size(),
-              packets_sent.value() - sent_before);
-  for (std::vector<std::uint8_t>& wire : tx_wire_) pool_.release(std::move(wire));
-  tx_wire_.clear();
-}
-
-std::size_t UdpTransport::equal_size_run(std::size_t offset) const {
-  const std::size_t size = tx_wire_[offset].size();
-  if (size == 0 || size > kMaxGsoBytes) return 1;
-  std::size_t run = 1;
-  std::size_t total = size;
-  while (offset + run < tx_wire_.size() && run < max_syscall_batch_ &&
-         tx_wire_[offset + run].size() == size && total + size <= kMaxGsoBytes) {
-    ++run;
-    total += size;
-  }
-  return run;
-}
-
-bool UdpTransport::transmit_gso_run(std::size_t offset, std::size_t run) {
-#if NETCL_HAVE_UDP_GSO && NETCL_HAVE_MMSG
-  // All `run` buffers gather into one datagram-sized payload; the
-  // UDP_SEGMENT ancillary value tells the kernel where to cut it back
-  // into `run` ordinary datagrams after one traversal of the stack.
-  iovec iovs[kMaxBatch];
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < run; ++i) {
-    std::vector<std::uint8_t>& wire = tx_wire_[offset + i];
-    iovs[i] = {wire.data(), wire.size()};
-    total += wire.size();
-  }
-  msghdr msg{};
-  msg.msg_name = &peer_;
-  msg.msg_namelen = sizeof(peer_);
-  msg.msg_iov = iovs;
-  msg.msg_iovlen = run;
-  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(std::uint16_t))] = {};
-  msg.msg_control = control;
-  msg.msg_controllen = sizeof(control);
-  cmsghdr* cmsg = CMSG_FIRSTHDR(&msg);
-  cmsg->cmsg_level = SOL_UDP;
-  cmsg->cmsg_type = UDP_SEGMENT;
-  cmsg->cmsg_len = CMSG_LEN(sizeof(std::uint16_t));
-  const auto segment = static_cast<std::uint16_t>(tx_wire_[offset].size());
-  std::memcpy(CMSG_DATA(cmsg), &segment, sizeof(segment));
-
-  const ssize_t sent = ::sendmsg(fd_, &msg, 0);
-  ++send_syscalls;
-  if (sent < 0) {
-    obs::flight(obs::FlightKind::kSendError, static_cast<std::uint64_t>(errno));
-    return false;  // kernel refused: caller disables GSO
-  }
-  ++gso_batches;
-  packets_sent.inc(run);
-  bytes_sent.inc(total);
-  obs::flight(obs::FlightKind::kGsoSend, run, total);
-  return true;
-#else
-  (void)offset;
-  (void)run;
-  return false;
-#endif
-}
-
-void UdpTransport::transmit_wire_batch() {
-#if NETCL_HAVE_MMSG
-  std::size_t offset = 0;
-  while (offset < tx_wire_.size()) {
-    // Fast path: an equal-sized run becomes one GSO super-datagram. On
-    // the first kernel refusal (old kernel, odd socket state) GSO is
-    // disabled for good and the same still-unsent buffers take the
-    // sendmmsg path below — nothing is lost or duplicated.
-    if (gso_enabled_) {
-      const std::size_t run = equal_size_run(offset);
-      if (run >= 2) {
-        if (transmit_gso_run(offset, run)) {
-          offset += run;
-          continue;
-        }
-        gso_enabled_ = false;
-      }
-    }
-    const std::size_t chunk = std::min(max_syscall_batch_, tx_wire_.size() - offset);
-    mmsghdr msgs[kMaxBatch];
-    iovec iovs[kMaxBatch];
-    std::memset(msgs, 0, chunk * sizeof(mmsghdr));
-    for (std::size_t i = 0; i < chunk; ++i) {
-      std::vector<std::uint8_t>& wire = tx_wire_[offset + i];
-      iovs[i] = {wire.data(), wire.size()};
-      msgs[i].msg_hdr.msg_name = &peer_;
-      msgs[i].msg_hdr.msg_namelen = sizeof(peer_);
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
-    }
-    const int sent = ::sendmmsg(fd_, msgs, static_cast<unsigned>(chunk), 0);
-    ++send_syscalls;
-    if (sent <= 0) {
-      obs::flight(obs::FlightKind::kSendError, static_cast<std::uint64_t>(errno),
-                  tx_wire_.size() - offset);
-      send_errors.inc(tx_wire_.size() - offset);
-      return;
-    }
-    obs::flight(obs::FlightKind::kSendmmsg, static_cast<std::uint64_t>(sent), chunk);
-    for (int i = 0; i < sent; ++i) {
-      ++packets_sent;
-      bytes_sent.inc(tx_wire_[offset + static_cast<std::size_t>(i)].size());
-    }
-    // Partial completion (kernel took fewer than `chunk` messages): the
-    // next syscall resumes at the first unsent buffer, preserving order.
-    if (static_cast<std::size_t>(sent) < chunk) {
-      obs::flight(obs::FlightKind::kSendPartial, static_cast<std::uint64_t>(sent),
-                  tx_wire_.size() - offset - static_cast<std::size_t>(sent));
-    }
-    offset += static_cast<std::size_t>(sent);
-  }
-#else
-  // Portable fallback: one sendto(2) per datagram, same observable
-  // behavior, no syscall amortization.
-  for (const std::vector<std::uint8_t>& wire : tx_wire_) {
-    const ssize_t sent = ::sendto(fd_, wire.data(), wire.size(), 0,
-                                  reinterpret_cast<const sockaddr*>(&peer_), sizeof(peer_));
-    ++send_syscalls;
-    if (sent != static_cast<ssize_t>(wire.size())) {
-      obs::flight(obs::FlightKind::kSendError, static_cast<std::uint64_t>(errno));
-      ++send_errors;
-      continue;
-    }
-    ++packets_sent;
-    bytes_sent.inc(wire.size());
-  }
-#endif
+  for (const sim::Packet& packet : packets) serialize_packet(packet, socket_.queue(peer_));
+  const std::size_t sent = socket_.flush();
+  obs::flight(obs::FlightKind::kBatchSend, packets.size(), sent);
 }
 
 void UdpTransport::schedule(double delay_ns, std::function<void()> callback) {
@@ -249,82 +67,31 @@ void UdpTransport::fire_due_timers() {
   }
 }
 
-void UdpTransport::ensure_rx_storage() {
-  if (!rx_buffers_.empty()) return;
-  // 64 KiB per slot is too big for the stack at batch 32 (2 MiB), so the
-  // staging area lives on the heap, allocated once on first receive.
-  rx_buffers_.resize(max_syscall_batch_);
-  for (std::vector<std::uint8_t>& buffer : rx_buffers_) buffer.resize(kMaxDatagram);
-  rx_batch_.resize(max_syscall_batch_);
-}
-
 void UdpTransport::drain_socket() {
-  ensure_rx_storage();
   for (;;) {
-#if NETCL_HAVE_MMSG
-    mmsghdr msgs[kMaxBatch];
-    iovec iovs[kMaxBatch];
-    std::memset(msgs, 0, max_syscall_batch_ * sizeof(mmsghdr));
-    for (std::size_t i = 0; i < max_syscall_batch_; ++i) {
-      iovs[i] = {rx_buffers_[i].data(), kMaxDatagram};
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
-    }
-    const int received =
-        ::recvmmsg(fd_, msgs, static_cast<unsigned>(max_syscall_batch_), 0, nullptr);
-    ++recv_syscalls;
-    if (received <= 0) return;  // EAGAIN/EWOULDBLOCK: drained
+    const std::span<const DatagramSocket::Datagram> burst = socket_.receive();
     std::size_t good = 0;
-    for (int i = 0; i < received; ++i) {
-      const std::size_t len = msgs[i].msg_len;
-      bytes_received.inc(len);
+    for (const DatagramSocket::Datagram& datagram : burst) {
+      bytes_received.inc(datagram.bytes.size());
       // Decode into the reused batch slots, compacting over malformed
       // datagrams so deliver() sees a dense, arrival-ordered span.
-      if (!deserialize_packet({rx_buffers_[static_cast<std::size_t>(i)].data(), len},
-                              rx_batch_[good])) {
+      if (!deserialize_packet(datagram.bytes, rx_batch_[good])) {
         ++deserialize_errors;
         continue;
       }
       ++packets_received;
       ++good;
     }
-    obs::flight(obs::FlightKind::kBatchRecv, good, static_cast<std::uint64_t>(received));
+    if (!burst.empty()) obs::flight(obs::FlightKind::kBatchRecv, good, burst.size());
     if (good > 0) deliver({rx_batch_.data(), good});
-    // A short batch means the queue is (almost certainly) empty; anything
+    // A short burst means the queue is (almost certainly) empty; anything
     // racing in after the syscall is picked up on the next poll turn.
-    if (static_cast<std::size_t>(received) < max_syscall_batch_) return;
-#else
-    // Portable fallback: recv(2) per datagram, still delivering in bursts
-    // of up to max_syscall_batch_ so batch receivers see the same shape.
-    std::size_t good = 0;
-    bool drained = false;
-    while (good < max_syscall_batch_) {
-      const ssize_t n = ::recv(fd_, rx_buffers_[good].data(), kMaxDatagram, 0);
-      ++recv_syscalls;
-      if (n < 0) {
-        drained = true;  // EAGAIN/EWOULDBLOCK
-        break;
-      }
-      bytes_received.inc(static_cast<std::uint64_t>(n));
-      if (!deserialize_packet({rx_buffers_[good].data(), static_cast<std::size_t>(n)},
-                              rx_batch_[good])) {
-        ++deserialize_errors;
-        continue;
-      }
-      ++packets_received;
-      ++good;
-    }
-    if (good > 0) {
-      obs::flight(obs::FlightKind::kBatchRecv, good, good);
-      deliver({rx_batch_.data(), good});
-    }
-    if (drained) return;
-#endif
+    if (burst.size() < socket_.batch()) return;
   }
 }
 
 void UdpTransport::poll_once(int timeout_ms) {
-  if (fd_ < 0) return;
+  if (!socket_.valid()) return;
   // Host-side event loops sample themselves when the profiler is on
   // (idempotent one-TLS-test registration).
   obs::profile_register_thread();
@@ -337,7 +104,7 @@ void UdpTransport::poll_once(int timeout_ms) {
     wait_ms = static_cast<int>(
         std::clamp(until_timer_ms + 1.0, 0.0, static_cast<double>(timeout_ms)));
   }
-  pollfd pfd{fd_, POLLIN, 0};
+  pollfd pfd{socket_.fd(), POLLIN, 0};
   if (::poll(&pfd, 1, wait_ms) > 0 && (pfd.revents & POLLIN) != 0) drain_socket();
   fire_due_timers();
 }

@@ -6,30 +6,13 @@
 // is no background thread; receive callbacks and timers fire on the
 // calling thread.
 //
-// v2 (ISSUE 5): the data plane is batched and allocation-free. send_batch
-// serializes into BufferPool-recycled wire buffers and moves up to
-// `max_syscall_batch` datagrams per sendmmsg(2) call (resuming at the
-// right offset on partial completion); the receive side drains the socket
-// with recvmmsg(2) into reused buffers and hands whole bursts to the
-// batch receiver. On platforms without the mmsg syscalls a sendto/recv
-// loop is selected at configure time (NETCL_HAVE_MMSG) — same semantics,
-// one syscall per datagram.
+// The syscalls are net::DatagramSocket's, shared with the device daemon.
+// send_batch serializes into the socket's egress queue and flushes it; each
+// poll turn decodes the socket's receive bursts into reused packets and
+// hands each burst whole to the batch receiver.
 //
-// Equal-sized runs within a batch (the common case: a window of AGG
-// contributions is one wire size) additionally ride UDP GSO
-// (UDP_SEGMENT): the run is handed to the kernel as one super-datagram
-// that traverses the network stack once and is split into ordinary
-// datagrams at the bottom, so receivers see byte-identical traffic.
-// sendmmsg amortizes only syscall entry; GSO amortizes the whole
-// per-datagram stack cost, which is where loopback/UDP time actually
-// goes. Availability is probed at configure time (NETCL_HAVE_UDP_GSO)
-// and at runtime: the first sendmsg failure disables GSO for the
-// transport and the same packets are resent through sendmmsg.
-//
-// Metrics live in an obs registry (default name "udp"): packet/byte
-// send+receive counters, syscall counters (the bench's syscalls/packet
-// numerator), deserialize failures, and timer fires, so obs::dump() shows
-// the real-network path next to the fabric's counters.
+// Metrics live in an obs registry (default name "udp"), so obs::dump()
+// shows the real-network path next to the fabric's counters.
 #pragma once
 
 #include <netinet/in.h>
@@ -39,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "net/buffer_pool.hpp"
+#include "net/datagram_socket.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 
@@ -51,9 +34,7 @@ class UdpTransport final : public Transport {
   obs::MetricsRegistry metrics_;
 
  public:
-  /// Ceiling on datagrams per mmsg syscall (the kernel-side mmsghdr
-  /// arrays are stack-allocated at this size).
-  static constexpr std::size_t kMaxBatch = 32;
+  static constexpr std::size_t kMaxBatch = DatagramSocket::kMaxBatch;
 
   struct Options {
     /// Local UDP port to bind (0 = kernel-assigned; read local_port()).
@@ -63,14 +44,11 @@ class UdpTransport final : public Transport {
     std::uint16_t peer_port = 0;
     /// Registry name; same-named registries merge additively in obs::dump().
     std::string metrics_name = "udp";
-    /// Datagrams moved per sendmmsg/recvmmsg call, clamped to
-    /// [1, kMaxBatch]. 1 degenerates to the per-packet path; small values
-    /// exercise the partial-completion resume logic in tests. Also caps
-    /// the segments per GSO super-datagram.
+    /// Datagrams moved per send/receive syscall and segments per GSO
+    /// super-datagram, clamped to [1, kMaxBatch]. 1 degenerates to the
+    /// per-packet path; small values exercise the partial-completion resume
+    /// logic in tests.
     std::size_t max_syscall_batch = kMaxBatch;
-    /// Allow the UDP_SEGMENT fast path for equal-sized runs (when the
-    /// platform has it). Off forces the plain sendmmsg path.
-    bool allow_gso = true;
   };
 
   // A delegating default ctor rather than `= {}` on the Options overload:
@@ -78,14 +56,13 @@ class UdpTransport final : public Transport {
   // ill-formed inside the enclosing class (GCC enforces this).
   UdpTransport() : UdpTransport(Options()) {}
   explicit UdpTransport(const Options& options);
-  ~UdpTransport() override;
   UdpTransport(const UdpTransport&) = delete;
   UdpTransport& operator=(const UdpTransport&) = delete;
 
   /// False when socket creation/binding failed (error() explains).
-  [[nodiscard]] bool valid() const { return fd_ >= 0; }
+  [[nodiscard]] bool valid() const { return socket_.valid(); }
   [[nodiscard]] const std::string& error() const { return error_; }
-  [[nodiscard]] std::uint16_t local_port() const { return local_port_; }
+  [[nodiscard]] std::uint16_t local_port() const { return socket_.local_port(); }
   void set_peer(const std::string& host, std::uint16_t port);
 
   // --- Transport ------------------------------------------------------------
@@ -105,21 +82,20 @@ class UdpTransport final : public Transport {
   void run_for(double duration_ns);
 
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] BufferPool& buffer_pool() { return pool_; }
   obs::Counter& packets_sent = metrics_.counter("packets_sent");
   obs::Counter& packets_received = metrics_.counter("packets_received");
   obs::Counter& bytes_sent = metrics_.counter("bytes_sent");
   obs::Counter& bytes_received = metrics_.counter("bytes_received");
-  /// Transmit-side syscalls (sendmmsg or sendto). With batching this grows
-  /// ~1/32 as fast as packets_sent; that ratio is the bench's headline.
+  /// Transmit-side syscalls. With batching this grows ~1/32 as fast as
+  /// packets_sent; that ratio is the bench's headline.
   obs::Counter& send_syscalls = metrics_.counter("send_syscalls");
-  /// Receive-side syscalls (recvmmsg or recv), including the final empty
-  /// probe that observes EAGAIN.
+  /// Receive-side syscalls, including the final empty probe that observes
+  /// EAGAIN.
   obs::Counter& recv_syscalls = metrics_.counter("recv_syscalls");
-  /// Equal-sized runs sent as one UDP_SEGMENT super-datagram (each also
-  /// counts once in send_syscalls).
+  /// Equal-sized runs sent as one GSO super-datagram (each also counts
+  /// once in send_syscalls).
   obs::Counter& gso_batches = metrics_.counter("gso_batches");
-  /// sendto/sendmmsg failed or no peer is configured.
+  /// A send failed or no peer is configured.
   obs::Counter& send_errors = metrics_.counter("send_errors");
   /// Datagram arrived but was not a well-formed NetCL wire packet.
   obs::Counter& deserialize_errors = metrics_.counter("deserialize_errors");
@@ -137,32 +113,12 @@ class UdpTransport final : public Transport {
 
   void fire_due_timers();
   void drain_socket();
-  void transmit_wire_batch();
-  void ensure_rx_storage();
-  /// Length of the equal-sized run of tx_wire_ buffers starting at
-  /// `offset`, capped to what one GSO super-datagram can carry.
-  [[nodiscard]] std::size_t equal_size_run(std::size_t offset) const;
-  /// Sends tx_wire_[offset, offset+run) as one UDP_SEGMENT sendmsg.
-  /// False when the kernel refused — the caller falls back to sendmmsg.
-  bool transmit_gso_run(std::size_t offset, std::size_t run);
 
-  int fd_ = -1;
+  DatagramSocket socket_;
   std::string error_;
-  std::uint16_t local_port_ = 0;
   sockaddr_in peer_{};
   bool has_peer_ = false;
-  std::size_t max_syscall_batch_ = kMaxBatch;
-  /// Set in the constructor when compiled in and allowed by Options;
-  /// cleared for good on the first sendmsg the kernel rejects.
-  bool gso_enabled_ = false;
-  BufferPool pool_;
-  /// Serialized wire buffers for the batch in flight; buffers are borrowed
-  /// from pool_ for the duration of one send_batch call.
-  std::vector<std::vector<std::uint8_t>> tx_wire_;
-  /// Receive staging, allocated lazily on first drain (64 KiB per slot):
-  /// raw datagram bytes and the decoded packets handed to deliver(). Both
-  /// are reused every cycle, so steady-state receive allocates nothing.
-  std::vector<std::vector<std::uint8_t>> rx_buffers_;
+  /// Decoded packets of one receive burst, reused every burst.
   std::vector<sim::Packet> rx_batch_;
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
   std::uint64_t timer_sequence_ = 0;

@@ -43,7 +43,7 @@ enum class FlightKind : std::uint16_t {
   kBatchSend = 1,     // a=packets requested, b=packets sent
   kBatchRecv = 2,     // a=packets delivered this drain
   kGsoSend = 3,       // a=segments in the GSO super-datagram, b=payload bytes
-  kSendmmsg = 4,      // a=datagrams accepted by sendmmsg, b=batch size
+  kSendmmsg = 4,      // a=datagrams accepted by one batched send, b=batch size
   kSendPartial = 5,   // a=accepted so far, b=remaining (EAGAIN/partial completion)
   kSendError = 6,     // a=errno
   // netcl-swd daemon.

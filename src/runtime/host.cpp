@@ -54,7 +54,7 @@ const char* to_string(FallbackPolicy policy) {
 void HostRuntime::attach() {
   // The transport receiver is installed eagerly (not in on_receive) so
   // that arrivals before — or without — a receiver are observed, not lost.
-  // Batch-aware: a recvmmsg burst arrives as one span, unpacked in arrival
+  // Batch-aware: a receive burst arrives as one span, unpacked in arrival
   // order — identical observable behavior to per-packet delivery.
   transport_->set_batch_receiver([this](std::span<const sim::Packet> batch) {
     for (const sim::Packet& packet : batch) deliver_packet(packet);

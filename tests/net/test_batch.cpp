@@ -1,10 +1,11 @@
-// Batch-equivalence suite for Transport v2 (ISSUE 5).
+// Batch-equivalence suite for Transport v2 and the shared DatagramSocket.
 //
-// The tentpole claim is that batching changes the cost, never the bytes:
-// a send_batch must put the exact same datagrams on the wire, in the same
+// The claim is that batching changes the cost, never the bytes: a
+// send_batch must put the exact same datagrams on the wire, in the same
 // order, as the equivalent sequence of single sends — through the buffer
-// pool, the sendmmsg chunking (including partial-completion resume), and
-// both transport implementations.
+// pool, the syscall chunking (including partial-completion resume), GSO
+// runs on both the host and the daemon side, and both transport
+// implementations.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,6 +13,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 #include <span>
 #include <vector>
@@ -19,8 +21,10 @@
 #include "apps/sources.hpp"
 #include "driver/compiler.hpp"
 #include "net/buffer_pool.hpp"
+#include "net/datagram_socket.hpp"
 #include "net/factory.hpp"
 #include "net/sim_transport.hpp"
+#include "net/swd_server.hpp"
 #include "net/udp_transport.hpp"
 #include "net/wire.hpp"
 #include "runtime/host.hpp"
@@ -216,6 +220,33 @@ TEST(BatchUdp, ReceiverGetsWholeBurstsInArrivalOrder) {
   EXPECT_EQ(rx.packets_received.value(), kCount);
 }
 
+// --- GSO errno classification -------------------------------------------------
+
+TEST(DatagramSocket, OnlyKernelRefusalsTurnGsoOff) {
+  struct Case {
+    int error;
+    bool turns_gso_off;
+  };
+  const Case cases[] = {
+      // The kernel cannot segment on this socket: GSO stays off.
+      {EIO, true},
+      {EINVAL, true},
+      {EOPNOTSUPP, true},
+      {ENOPROTOOPT, true},
+      // Transient on a non-blocking socket: retry the run via sendmmsg.
+      {EAGAIN, false},
+      {EWOULDBLOCK, false},
+      {ENOBUFS, false},
+      {ENOMEM, false},
+      {EINTR, false},
+      {ECONNREFUSED, false},
+      {EMSGSIZE, false},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(gso_unsupported(c.error), c.turns_gso_off) << std::strerror(c.error);
+  }
+}
+
 // --- SimTransport / HostRuntime batch equivalence -----------------------------
 
 driver::CompileResult compile_calc() {
@@ -263,6 +294,78 @@ std::vector<std::vector<std::uint8_t>> run_calc_ops(bool batched) {
 
 TEST(BatchSim, SendBatchResultsAreByteIdenticalToPerPacketSends) {
   EXPECT_EQ(run_calc_ops(true), run_calc_ops(false));
+}
+
+// --- daemon egress through the shared socket ----------------------------------
+
+TEST(BatchSwd, DaemonAnswersRideGsoInPerHostOrder) {
+  // Host 1 sends 32 equal-size CALC requests in bursts of 8, host 2 sends
+  // two between each burst, all before the daemon polls. The daemon's
+  // egress then holds same-destination runs (GSO) broken by destination
+  // changes, and each host must still get every answer in send order.
+  driver::CompileResult compiled = compile_calc();
+  const KernelSpec spec = compiled.specs.at(1);
+  SwdServer server(driver::make_device(std::move(compiled), 1), SwdOptions{});
+  ASSERT_TRUE(server.valid()) << server.error();
+
+  UdpTransport::Options options;
+  options.peer_port = server.udp_port();
+  UdpTransport transport1(options);
+  UdpTransport transport2(options);
+  ASSERT_TRUE(transport1.valid()) << transport1.error();
+  ASSERT_TRUE(transport2.valid()) << transport2.error();
+  HostRuntime host1(transport1, 1);
+  HostRuntime host2(transport2, 2);
+  std::vector<std::uint64_t> answers1;
+  std::vector<std::uint64_t> answers2;
+  for (auto [host, answers] : {std::pair{&host1, &answers1}, std::pair{&host2, &answers2}}) {
+    host->register_spec(1, spec);
+    host->on_receive([answers](const Message&, ArgValues& args) {
+      answers->push_back(args[3][0]);
+    });
+  }
+
+  // The answer is a + b: the host id in the thousands, the send order below.
+  auto request = [&](std::uint16_t host, std::uint64_t seq) {
+    ArgValues args = sim::make_args(spec);
+    args[0][0] = apps::kCalcAdd;
+    args[1][0] = seq;
+    args[2][0] = 1000u * host;
+    return HostRuntime::Outbound{Message(host, 0, 1, 1), std::move(args)};
+  };
+  constexpr std::uint64_t kBursts = 4;
+  constexpr std::uint64_t kBurst = 8;
+  constexpr std::uint64_t kInterleaved = 2;
+  std::vector<std::uint64_t> expected1;
+  std::vector<std::uint64_t> expected2;
+  for (std::uint64_t burst = 0; burst < kBursts; ++burst) {
+    std::vector<HostRuntime::Outbound> outbound;
+    for (std::uint64_t i = 0; i < kBurst; ++i) {
+      const std::uint64_t seq = burst * kBurst + i;
+      outbound.push_back(request(1, seq));
+      expected1.push_back(1000 + seq);
+    }
+    host1.send_batch(outbound);
+    for (std::uint64_t i = 0; i < kInterleaved; ++i) {
+      const std::uint64_t seq = burst * kInterleaved + i;
+      HostRuntime::Outbound op = request(2, seq);
+      host2.send(op.message, op.args);
+      expected2.push_back(2000 + seq);
+    }
+  }
+  const std::uint64_t total = expected1.size() + expected2.size();
+  for (int i = 0; i < 500 && server.packets_sent.value() < total; ++i) server.poll_once(10);
+  transport1.run_until([&] { return answers1.size() >= expected1.size(); }, 2e9);
+  transport2.run_until([&] { return answers2.size() >= expected2.size(); }, 2e9);
+
+  EXPECT_EQ(answers1, expected1);
+  EXPECT_EQ(answers2, expected2);
+  EXPECT_EQ(server.packets_sent.value(), total);
+  // The portable build (no GSO) still answers everything, in order.
+  if (gso_compiled_in()) {
+    EXPECT_GE(server.metrics().counter("gso_batches").value(), 1u);
+  }
+  EXPECT_EQ(server.metrics().counter("send_errors").value(), 0u);
 }
 
 // --- URI factory --------------------------------------------------------------

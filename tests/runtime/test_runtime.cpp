@@ -662,6 +662,12 @@ struct ActionCase {
   std::uint16_t to_after;
 };
 
+// Without this, gtest names each case by a byte dump of the struct, padding
+// included, which can change between builds.
+void PrintTo(const ActionCase& c, std::ostream* os) {
+  *os << netcl::to_string(c.action) << "(" << c.target << ")";
+}
+
 class DeviceRuntimeActions : public ::testing::TestWithParam<ActionCase> {};
 
 TEST_P(DeviceRuntimeActions, RewritesHeader) {
