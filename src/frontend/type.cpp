@@ -4,14 +4,6 @@
 
 namespace netcl {
 
-std::int64_t ScalarType::extend(std::uint64_t v) const {
-  v = truncate(v);
-  if (!is_signed || bits >= 64) return static_cast<std::int64_t>(v);
-  const std::uint64_t sign_bit = 1ULL << (bits - 1);
-  if ((v & sign_bit) != 0) v |= ~max_unsigned();
-  return static_cast<std::int64_t>(v);
-}
-
 std::string ScalarType::to_string() const {
   if (bits == 1) return "bool";
   // Built up in two steps: the one-expression concatenation trips a GCC 12

@@ -26,7 +26,13 @@ struct ScalarType {
     return v & max_unsigned();
   }
   /// Sign- or zero-extends a truncated value back to 64 bits for arithmetic.
-  [[nodiscard]] std::int64_t extend(std::uint64_t v) const;
+  [[nodiscard]] std::int64_t extend(std::uint64_t v) const {
+    v = truncate(v);
+    if (!is_signed || bits >= 64) return static_cast<std::int64_t>(v);
+    const std::uint64_t sign_bit = 1ULL << (bits - 1);
+    if ((v & sign_bit) != 0) v |= ~max_unsigned();
+    return static_cast<std::int64_t>(v);
+  }
 
   [[nodiscard]] std::string to_string() const;
 };

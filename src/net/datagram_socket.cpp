@@ -212,10 +212,14 @@ std::span<const DatagramSocket::Datagram> DatagramSocket::receive() {
   // 64 KiB per slot is too big for the stack at batch 32 (2 MiB), so the
   // slots live on the heap, allocated once and reused every burst. One
   // allocation per slot, not one 2 MiB block: the block raised perfbench's
-  // calc_min peak RSS by ~1.4 MiB in most runs (glibc 2.36, 4 vCPUs).
+  // calc_min peak RSS by ~1.4 MiB in most runs (glibc 2.36, 4 vCPUs). The
+  // slots are not zero-filled: the kernel writes each datagram and only its
+  // msg_len bytes are read, so untouched pages never become resident.
   if (rx_slots_.empty()) {
-    rx_slots_.resize(batch_);
-    for (std::vector<std::uint8_t>& slot : rx_slots_) slot.resize(kMaxDatagram);
+    rx_slots_.reserve(batch_);
+    for (std::size_t i = 0; i < batch_; ++i) {
+      rx_slots_.push_back(std::make_unique_for_overwrite<std::uint8_t[]>(kMaxDatagram));
+    }
   }
   std::size_t received = 0;
 #if NETCL_HAVE_MMSG
@@ -223,7 +227,7 @@ std::span<const DatagramSocket::Datagram> DatagramSocket::receive() {
   iovec iovs[kMaxBatch];
   std::memset(msgs, 0, batch_ * sizeof(mmsghdr));
   for (std::size_t i = 0; i < batch_; ++i) {
-    iovs[i] = {rx_slots_[i].data(), kMaxDatagram};
+    iovs[i] = {rx_slots_[i].get(), kMaxDatagram};
     msgs[i].msg_hdr.msg_name = &rx_[i].from;
     msgs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
     msgs[i].msg_hdr.msg_iov = &iovs[i];
@@ -234,11 +238,11 @@ std::span<const DatagramSocket::Datagram> DatagramSocket::receive() {
   if (count <= 0) return {};  // EAGAIN/EWOULDBLOCK: drained
   received = static_cast<std::size_t>(count);
   for (std::size_t i = 0; i < received; ++i) {
-    rx_[i].bytes = {rx_slots_[i].data(), msgs[i].msg_len};
+    rx_[i].bytes = {rx_slots_[i].get(), msgs[i].msg_len};
   }
 #else
   for (; received < batch_; ++received) {
-    std::uint8_t* slot = rx_slots_[received].data();
+    std::uint8_t* slot = rx_slots_[received].get();
     socklen_t from_len = sizeof(sockaddr_in);
     const ssize_t n = ::recvfrom(fd_, slot, kMaxDatagram, 0,
                                  reinterpret_cast<sockaddr*>(&rx_[received].from), &from_len);

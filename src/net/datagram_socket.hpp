@@ -22,6 +22,7 @@
 #include <netinet/in.h>
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -110,8 +111,9 @@ class DatagramSocket {
   bool gso_enabled_;
   BufferPool pool_;
   std::vector<Outgoing> egress_;
-  /// batch_ receive slots of 64 KiB each, allocated on the first receive.
-  std::vector<std::vector<std::uint8_t>> rx_slots_;
+  /// batch_ receive slots of 64 KiB each, allocated on the first receive
+  /// and left uninitialized (the kernel writes what is read).
+  std::vector<std::unique_ptr<std::uint8_t[]>> rx_slots_;
   std::vector<Datagram> rx_;
 };
 

@@ -47,6 +47,12 @@ std::pair<std::uint64_t, std::uint64_t> RegisterFile::atomic(const ir::GlobalVar
   return {old_value, new_value};
 }
 
+std::span<std::uint64_t> RegisterFile::cells(const ir::GlobalVar& global) {
+  const auto it = storage_.find(&global);
+  if (it == storage_.end()) return {};
+  return it->second;
+}
+
 void RegisterFile::reset() {
   for (auto& [global, values] : storage_) {
     std::fill(values.begin(), values.end(), 0);

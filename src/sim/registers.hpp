@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -30,6 +31,10 @@ class RegisterFile {
   std::pair<std::uint64_t, std::uint64_t> atomic(const ir::GlobalVar& global, std::size_t index,
                                                  AtomicOpKind op, std::uint64_t operand0,
                                                  std::uint64_t operand1);
+
+  /// The cells of one register array, row-major (empty if the global is
+  /// not in this file). They stay in place until the file is destroyed.
+  [[nodiscard]] std::span<std::uint64_t> cells(const ir::GlobalVar& global);
 
   void reset();
 

@@ -1,8 +1,7 @@
 #include "sim/switch.hpp"
 
-#include <cassert>
+#include <algorithm>
 
-#include "ir/eval.hpp"
 #include "obs/flightrec.hpp"
 #include "p4/resources.hpp"
 
@@ -21,16 +20,35 @@ double SwitchDevice::pipeline_latency_ns() const {
 
 // --- tenant management -------------------------------------------------------
 
-void SwitchDevice::attach(TenantId id, Tenant& tenant) {
+void SwitchDevice::install(Tenant& tenant, ProgramArtifact artifact) {
+  tenant.name = std::move(artifact.name);
+  tenant.module = std::move(artifact.module);
+  tenant.kernels = std::move(artifact.kernels);
+  tenant.stages_used = artifact.stages_used;
+  tenant.per_stage = std::move(artifact.per_stage);
+  tenant.registers = std::make_unique<RegisterFile>(*tenant.module);
+  tenant.tables = std::make_unique<TableSet>(*tenant.module);
+  tenant.rng = SplitMix64{0x5EEDBA5Eu ^ device_id_};
+  tenant.register_access.assign(tenant.module->globals().size(), RegisterAccess{});
+  tenant.programs.clear();
+  tenant.programs.reserve(tenant.kernels.size());
   for (const p4::KernelProgram& kernel : tenant.kernels) {
-    by_computation_[kernel.fn->computation()] = {id, &kernel};
+    tenant.programs.emplace_back(kernel, *tenant.module);
+    tenant.programs.back().bind(*tenant.registers, *tenant.tables);
+  }
+}
+
+void SwitchDevice::attach(TenantId id, Tenant& tenant) {
+  for (std::size_t i = 0; i < tenant.kernels.size(); ++i) {
+    by_computation_[tenant.kernels[i].fn->computation()] = {id, &tenant, &tenant.kernels[i],
+                                                            &tenant.programs[i]};
   }
 }
 
 void SwitchDevice::detach(TenantId id, Tenant& tenant) {
   for (const p4::KernelProgram& kernel : tenant.kernels) {
     const auto it = by_computation_.find(kernel.fn->computation());
-    if (it != by_computation_.end() && it->second.first == id) by_computation_.erase(it);
+    if (it != by_computation_.end() && it->second.id == id) by_computation_.erase(it);
   }
 }
 
@@ -58,7 +76,7 @@ Error SwitchDevice::load_program(TenantId tenant_id, ProgramArtifact artifact) {
     if (it != by_computation_.end()) {
       return {ErrorKind::kRejected,
               "computation " + std::to_string(kernel.fn->computation()) +
-                  " is already served by tenant " + std::to_string(it->second.first)};
+                  " is already served by tenant " + std::to_string(it->second.id)};
     }
   }
   if (!artifact.per_stage.empty()) {
@@ -70,14 +88,7 @@ Error SwitchDevice::load_program(TenantId tenant_id, ProgramArtifact artifact) {
   }
 
   Tenant& tenant = tenants_[tenant_id];
-  tenant.name = std::move(artifact.name);
-  tenant.module = std::move(artifact.module);
-  tenant.kernels = std::move(artifact.kernels);
-  tenant.stages_used = artifact.stages_used;
-  tenant.per_stage = std::move(artifact.per_stage);
-  tenant.registers = std::make_unique<RegisterFile>(*tenant.module);
-  tenant.tables = std::make_unique<TableSet>(*tenant.module);
-  tenant.rng = SplitMix64{0x5EEDBA5Eu ^ device_id_};
+  install(tenant, std::move(artifact));
   attach(tenant_id, tenant);
   refresh_stages();
   return {};
@@ -107,10 +118,10 @@ Error SwitchDevice::swap_program(TenantId tenant_id, ProgramArtifact artifact) {
   Tenant& tenant = it->second;
   for (const p4::KernelProgram& kernel : artifact.kernels) {
     const auto found = by_computation_.find(kernel.fn->computation());
-    if (found != by_computation_.end() && found->second.first != tenant_id) {
+    if (found != by_computation_.end() && found->second.id != tenant_id) {
       return {ErrorKind::kRejected,
               "computation " + std::to_string(kernel.fn->computation()) +
-                  " is already served by tenant " + std::to_string(found->second.first)};
+                  " is already served by tenant " + std::to_string(found->second.id)};
     }
   }
   // Re-admit under the budget with the old reservation released; on
@@ -127,17 +138,9 @@ Error SwitchDevice::swap_program(TenantId tenant_id, ProgramArtifact artifact) {
   }
 
   detach(tenant_id, tenant);
-  tenant.name = std::move(artifact.name);
-  tenant.module = std::move(artifact.module);
-  tenant.kernels = std::move(artifact.kernels);
-  tenant.stages_used = artifact.stages_used;
-  tenant.per_stage = std::move(artifact.per_stage);
   // Fresh state, like a per-tenant restart: the host journal replays
   // managed writes/inserts on top (DeviceConnection::resync).
-  tenant.registers = std::make_unique<RegisterFile>(*tenant.module);
-  tenant.tables = std::make_unique<TableSet>(*tenant.module);
-  tenant.rng = SplitMix64{0x5EEDBA5Eu ^ device_id_};
-  tenant.register_access.clear();
+  install(tenant, std::move(artifact));
   // stats survive: they belong to the observer, and the zero-drop
   // assertion in the co-residency scenario reads them across the swap.
   attach(tenant_id, tenant);
@@ -189,20 +192,24 @@ const DeviceStats* SwitchDevice::tenant_stats(TenantId tenant_id) const {
 
 const KernelSpec* SwitchDevice::spec_for(int computation) const {
   const auto it = by_computation_.find(computation);
-  return it == by_computation_.end() ? nullptr : &it->second.second->fn->spec;
+  return it == by_computation_.end() ? nullptr : &it->second.kernel->fn->spec;
 }
 
 const TenantId* SwitchDevice::tenant_for(int computation) const {
   const auto it = by_computation_.find(computation);
-  return it == by_computation_.end() ? nullptr : &it->second.first;
+  return it == by_computation_.end() ? nullptr : &it->second.id;
 }
 
 namespace {
 
-/// Little-endian bytes of one value at its natural width, for hash inputs.
-void append_bytes(std::vector<std::uint8_t>& out, std::uint64_t value, ScalarType type) {
-  const int width = type.bits <= 8 ? 1 : type.bits / 8;
-  for (int b = 0; b < width; ++b) out.push_back(static_cast<std::uint8_t>(value >> (8 * b)));
+/// Adds one run's per-stage counts; `counts` grows to the highest stage
+/// that executed anything, as it always has.
+void add_stage_hits(std::vector<std::uint64_t>& counts, std::span<const std::uint32_t> hits) {
+  for (std::size_t stage = hits.size(); stage-- > 0;) {
+    if (hits[stage] == 0) continue;
+    if (counts.size() <= stage) counts.resize(stage + 1, 0);
+    counts[stage] += hits[stage];
+  }
 }
 
 }  // namespace
@@ -215,233 +222,21 @@ ComputeOutcome SwitchDevice::execute(int computation, ArgValues& args,
     ++stats.no_kernel;
     return {};  // no kernel here: no-op (§IV)
   }
-  Tenant& tenant = tenants_.at(it->second.first);
+  const Route& route = it->second;
+  Tenant& tenant = *route.tenant;
   ++stats.kernels_executed;
   ++tenant.stats.packets_processed;
   ++tenant.stats.kernels_executed;
 
-  const p4::KernelProgram& program = *it->second.second;
-  std::unordered_map<const Value*, std::uint64_t> env;
-  std::unordered_map<const LocalArray*, std::vector<std::uint64_t>> locals;
-
-  auto eval = [&](const Value* v) -> std::uint64_t {
-    if (v == nullptr) return 1;  // absent guard = always true
-    if (const Constant* c = as_constant(v)) return c->value();
-    if (v->kind() == ValueKind::Argument) {
-      const auto* arg = static_cast<const Argument*>(v);
-      return args[static_cast<std::size_t>(arg->index())][0];
-    }
-    const auto found = env.find(v);
-    return found == env.end() ? 0 : found->second;
-  };
-
-  ComputeOutcome outcome;
-  bool action_chosen = false;
-
-  for (const p4::LinearInst& li : program.insts) {
-    const Instruction& inst = *li.inst;
-    const bool guard_true = li.guard == nullptr || eval(li.guard) != 0;
-
-    if (guard_true && li.stage >= 0) {
-      const auto stage = static_cast<std::size_t>(li.stage);
-      if (stats.stage_executions.size() <= stage) {
-        stats.stage_executions.resize(stage + 1, 0);
-      }
-      if (tenant.stats.stage_executions.size() <= stage) {
-        tenant.stats.stage_executions.resize(stage + 1, 0);
-      }
-      ++stats.stage_executions[stage];
-      ++tenant.stats.stage_executions[stage];
-      ++outcome.stage_ops;
-    }
-
-    switch (inst.op()) {
-      case Opcode::Bin:
-        env[&inst] = eval_bin(inst.bin_kind, eval(inst.operand(0)), eval(inst.operand(1)),
-                              inst.type());
-        break;
-      case Opcode::ICmp:
-        env[&inst] = eval_icmp(inst.icmp_pred, eval(inst.operand(0)), eval(inst.operand(1)),
-                               inst.operand(0)->type())
-                         ? 1
-                         : 0;
-        break;
-      case Opcode::Select:
-        env[&inst] = eval(inst.operand(0)) != 0 ? eval(inst.operand(1)) : eval(inst.operand(2));
-        break;
-      case Opcode::Cast: {
-        const Value* operand = inst.operand(0);
-        std::uint64_t value = eval(operand);
-        if (inst.cast_signed && inst.type().bits > operand->type().bits) {
-          value = static_cast<std::uint64_t>(operand->type().extend(value));
-        }
-        env[&inst] = inst.type().truncate(value);
-        break;
-      }
-      case Opcode::Hash: {
-        std::vector<std::uint8_t> bytes;
-        for (std::size_t i = 0; i < inst.num_operands(); ++i) {
-          append_bytes(bytes, eval(inst.operand(i)), inst.operand(i)->type());
-        }
-        std::uint64_t digest = 0;
-        switch (inst.hash_kind) {
-          case HashKind::Crc16: digest = crc16(bytes); break;
-          case HashKind::Crc32: digest = crc32(bytes); break;
-          case HashKind::Xor16: digest = xor16(bytes); break;
-          case HashKind::Identity:
-            digest = bytes.empty() ? 0 : eval(inst.operand(0));
-            break;
-        }
-        env[&inst] = inst.type().truncate(digest);
-        break;
-      }
-      case Opcode::Rand:
-        env[&inst] = inst.type().truncate(tenant.rng.next());
-        break;
-      case Opcode::MsgMeta: {
-        const std::uint16_t fields[4] = {header.src, header.dst, header.from, header.to};
-        env[&inst] = fields[inst.arg_index & 3];
-        break;
-      }
-      case Opcode::Clz: {
-        const ScalarType type = inst.operand(0)->type();
-        const std::uint64_t value = type.truncate(eval(inst.operand(0)));
-        int count = 0;
-        for (int bit = type.bits - 1; bit >= 0; --bit) {
-          if ((value >> bit) & 1) break;
-          ++count;
-        }
-        env[&inst] = static_cast<std::uint64_t>(count);
-        break;
-      }
-      case Opcode::Bswap: {
-        const unsigned bytes = inst.type().bits <= 8 ? 1u : inst.type().bits / 8u;
-        const std::uint64_t value = eval(inst.operand(0));
-        std::uint64_t swapped = 0;
-        for (unsigned b = 0; b < bytes; ++b) {
-          swapped = (swapped << 8) | ((value >> (8 * b)) & 0xFF);
-        }
-        env[&inst] = swapped;
-        break;
-      }
-      case Opcode::LoadMsg: {
-        const auto index = static_cast<std::size_t>(eval(inst.operand(0)));
-        auto& arg = args[static_cast<std::size_t>(inst.arg_index)];
-        env[&inst] = index < arg.size() ? arg[index] : 0;
-        break;
-      }
-      case Opcode::StoreMsg: {
-        if (!guard_true) break;
-        const auto index = static_cast<std::size_t>(eval(inst.operand(0)));
-        auto& arg = args[static_cast<std::size_t>(inst.arg_index)];
-        if (index < arg.size()) {
-          const ScalarType type =
-              program.fn->spec.args[static_cast<std::size_t>(inst.arg_index)].type;
-          arg[index] = type.truncate(eval(inst.operand(1)));
-        }
-        break;
-      }
-      case Opcode::LoadLocal: {
-        auto& storage = locals[inst.local_array];
-        if (storage.empty()) storage.assign(static_cast<std::size_t>(inst.local_array->size), 0);
-        const auto index =
-            static_cast<std::size_t>(eval(inst.operand(0))) % storage.size();
-        env[&inst] = storage[index];
-        break;
-      }
-      case Opcode::StoreLocal: {
-        if (!guard_true) break;
-        auto& storage = locals[inst.local_array];
-        if (storage.empty()) storage.assign(static_cast<std::size_t>(inst.local_array->size), 0);
-        const auto index =
-            static_cast<std::size_t>(eval(inst.operand(0))) % storage.size();
-        storage[index] = inst.local_array->elem_type.truncate(eval(inst.operand(1)));
-        break;
-      }
-      case Opcode::LoadGlobal: {
-        std::vector<std::uint64_t> indices;
-        for (int i = 0; i < inst.num_indices; ++i) indices.push_back(eval(inst.operand(i)));
-        env[&inst] = tenant.registers->read(*inst.global,
-                                            tenant.registers->flatten(*inst.global, indices));
-        ++tenant.register_access[inst.global].reads;
-        break;
-      }
-      case Opcode::StoreGlobal: {
-        if (!guard_true) break;
-        std::vector<std::uint64_t> indices;
-        for (int i = 0; i < inst.num_indices; ++i) indices.push_back(eval(inst.operand(i)));
-        tenant.registers->write(*inst.global, tenant.registers->flatten(*inst.global, indices),
-                                eval(inst.operand(inst.num_operands() - 1)));
-        ++tenant.register_access[inst.global].writes;
-        break;
-      }
-      case Opcode::AtomicRMW: {
-        std::vector<std::uint64_t> indices;
-        for (int i = 0; i < inst.num_indices; ++i) indices.push_back(eval(inst.operand(i)));
-        const std::size_t index = tenant.registers->flatten(*inst.global, indices);
-        std::size_t next = static_cast<std::size_t>(inst.num_indices);
-        bool cond = true;
-        if (inst.atomic_cond) cond = eval(inst.operand(next++)) != 0;
-        const std::uint64_t operand0 =
-            next < inst.num_operands() ? eval(inst.operand(next)) : 0;
-        const std::uint64_t operand1 =
-            next + 1 < inst.num_operands() ? eval(inst.operand(next + 1)) : 0;
-        const std::uint64_t old_value = tenant.registers->read(*inst.global, index);
-        ++tenant.register_access[inst.global].reads;
-        if (guard_true && cond) {
-          ++tenant.register_access[inst.global].writes;
-          const auto [old_v, new_v] =
-              tenant.registers->atomic(*inst.global, index, inst.atomic_op, operand0, operand1);
-          // *_new returns the value after the operation; plain atomics the
-          // value before (§V-B).
-          env[&inst] = inst.atomic_new ? new_v : old_v;
-        } else {
-          // Not performed: both variants observe the unchanged value.
-          env[&inst] = old_value;
-        }
-        break;
-      }
-      case Opcode::Lookup: {
-        const LookupTable* table = tenant.tables->find(*inst.global);
-        assert(table != nullptr);
-        const MatchResult match = table->match(eval(inst.operand(0)));
-        env[&inst] = match.hit ? 1 : 0;
-        break;
-      }
-      case Opcode::LookupValue: {
-        const LookupTable* table = tenant.tables->find(*inst.global);
-        assert(table != nullptr);
-        // Re-match through the paired Lookup's key operand.
-        const auto* lookup = static_cast<const Instruction*>(inst.operand(0));
-        const MatchResult match = table->match(eval(lookup->operand(0)));
-        env[&inst] = match.hit ? match.value : eval(inst.operand(1));
-        break;
-      }
-      case Opcode::RetAction: {
-        if (guard_true && !action_chosen) {
-          action_chosen = true;
-          outcome.action = inst.action;
-          if (inst.num_operands() > 0) {
-            outcome.target = static_cast<std::uint16_t>(eval(inst.operand(0)));
-          }
-        }
-        break;
-      }
-      case Opcode::Phi:
-      case Opcode::Br:
-      case Opcode::CondBr:
-      case Opcode::Ret:
-        assert(false && "control flow must not survive linearization");
-        break;
-    }
-  }
+  const ComputeOutcome outcome =
+      route.program->run(args, header, tenant.rng, tenant.register_access.data());
+  add_stage_hits(stats.stage_executions, route.program->stage_hits());
+  add_stage_hits(tenant.stats.stage_executions, route.program->stage_hits());
 
   // Per-tenant action outcomes, recorded at decision time (process()
   // fills the aggregate drops_action/multicasts as it applies them).
   if (outcome.action == ActionKind::Drop) ++tenant.stats.drops_action;
   if (outcome.action == ActionKind::Multicast) ++tenant.stats.multicasts;
-
-  outcome.executed = true;
   return outcome;
 }
 
@@ -596,7 +391,9 @@ void SwitchDevice::restart() {
   // Rebuild the tables so control-plane inserts vanish and declaration
   // const entries come back — the state a freshly exec'd daemon would have.
   for (auto& [id, tenant] : tenants_) {
-    if (tenant.module != nullptr) tenant.tables = std::make_unique<TableSet>(*tenant.module);
+    if (tenant.module == nullptr) continue;
+    tenant.tables = std::make_unique<TableSet>(*tenant.module);
+    for (ExecProgram& program : tenant.programs) program.bind(*tenant.registers, *tenant.tables);
   }
   ++generation_;
 }
@@ -604,8 +401,10 @@ void SwitchDevice::restart() {
 std::map<std::string, RegisterAccess> SwitchDevice::register_access() const {
   std::map<std::string, RegisterAccess> out;
   for (const auto& [id, tenant] : tenants_) {
-    for (const auto& [global, access] : tenant.register_access) {
-      RegisterAccess& merged = out[global->name];
+    for (std::size_t i = 0; i < tenant.register_access.size(); ++i) {
+      const RegisterAccess& access = tenant.register_access[i];
+      if (access.reads == 0 && access.writes == 0) continue;  // never accessed
+      RegisterAccess& merged = out[tenant.module->globals()[i]->name];
       merged.reads += access.reads;
       merged.writes += access.writes;
     }
@@ -617,7 +416,7 @@ void SwitchDevice::reset_stats() {
   stats = DeviceStats{};
   for (auto& [id, tenant] : tenants_) {
     tenant.stats = DeviceStats{};
-    tenant.register_access.clear();
+    std::fill(tenant.register_access.begin(), tenant.register_access.end(), RegisterAccess{});
   }
 }
 

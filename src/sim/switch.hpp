@@ -29,6 +29,7 @@
 #include "runtime/error.hpp"
 // Header-only as well: the Table II action that process() applies.
 #include "runtime/device_runtime.hpp"
+#include "sim/exec.hpp"
 #include "sim/packet.hpp"
 #include "sim/registers.hpp"
 #include "sim/table.hpp"
@@ -40,29 +41,12 @@ namespace netcl::sim {
 /// its single program as tenant 0.
 using TenantId = std::uint32_t;
 
-/// What the kernel decided about a message.
-struct ComputeOutcome {
-  ActionKind action = ActionKind::Pass;
-  std::uint16_t target = 0;  // host / device / multicast-group id
-  bool executed = false;     // false: no kernel for the computation (no-op)
-  /// Guard-true operations this packet executed across all pipeline stages
-  /// (the per-packet slice of DeviceStats::stage_executions) — what an INT
-  /// stamp reports as stage occupancy.
-  std::uint32_t stage_ops = 0;
-};
-
 /// What one device step (SwitchDevice::process) did with a packet.
 struct StepOutcome {
   runtime::ForwardDecision forward;
   /// Guard-true operations the kernel executed (ComputeOutcome::stage_ops).
   std::uint32_t stage_ops = 0;
   bool executed = false;  // false: no kernel for the computation (passed through)
-};
-
-/// Read/write access totals for one register array.
-struct RegisterAccess {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
 };
 
 /// Per-switch observability counters (ISSUE 1). The device fills the
@@ -173,6 +157,7 @@ class SwitchDevice {
 
   /// Executes the kernel for `computation` over decoded argument values
   /// (mutated in place: by-ref writes land here) under the given header.
+  /// Runs the kernel's ExecProgram, lowered when the program was loaded.
   ComputeOutcome execute(int computation, ArgValues& args, const NetclHeader& header);
 
   /// The device step for a NetCL packet addressed to this device
@@ -231,6 +216,8 @@ class SwitchDevice {
     std::vector<p4::KernelProgram> kernels;
     int stages_used = 0;
     std::vector<p4::StageUsage> per_stage;
+    /// kernels[i] lowered, bound to `registers` and `tables`.
+    std::vector<ExecProgram> programs;
     std::unique_ptr<RegisterFile> registers;
     std::unique_ptr<TableSet> tables;
     DeviceStats stats;
@@ -238,7 +225,16 @@ class SwitchDevice {
     /// stream — and therefore its outputs — are byte-identical whether it
     /// runs alone or co-resident.
     SplitMix64 rng{0x5EEDBA5E};
-    std::unordered_map<const ir::GlobalVar*, RegisterAccess> register_access;
+    /// Indexed by the global's position in module->globals().
+    std::vector<RegisterAccess> register_access;
+  };
+
+  /// Where a computation id dispatches to.
+  struct Route {
+    TenantId id = 0;
+    Tenant* tenant = nullptr;
+    const p4::KernelProgram* kernel = nullptr;
+    ExecProgram* program = nullptr;
   };
 
   struct Resolved {
@@ -252,6 +248,9 @@ class SwitchDevice {
                                  const std::vector<std::uint64_t>& indices) const;
   [[nodiscard]] Resolved resolve_in(Tenant& tenant, const std::string& name,
                                     const std::vector<std::uint64_t>& indices) const;
+  /// Installs a compiled program into `tenant` with fresh state and
+  /// lowers its kernels.
+  void install(Tenant& tenant, ProgramArtifact artifact);
   void attach(TenantId id, Tenant& tenant);
   void detach(TenantId id, Tenant& tenant);
   void refresh_stages();
@@ -260,7 +259,7 @@ class SwitchDevice {
   // std::map: node-based, so Tenant* in by_computation_ stays valid across
   // unrelated load/unload.
   std::map<TenantId, Tenant> tenants_;
-  std::unordered_map<int, std::pair<TenantId, const p4::KernelProgram*>> by_computation_;
+  std::unordered_map<int, Route> by_computation_;
   p4::AdmissionController admission_;
   std::size_t max_tenants_ = 0;  // 0 = unlimited
   int stages_used_ = 0;
