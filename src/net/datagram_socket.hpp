@@ -8,15 +8,30 @@
 // (UDP_SEGMENT), which traverses the network stack once and is split into
 // ordinary datagrams at the bottom, so receivers see identical bytes. The
 // rest go through sendmmsg with a destination per message, resuming after a
-// partial completion. Ingress is receive(): one recvmmsg burst with each
-// datagram's source. Without the mmsg syscalls or UDP_SEGMENT (configure
-// probes NETCL_HAVE_MMSG, NETCL_HAVE_UDP_GSO) the same calls fall back to
-// one sendto/recvfrom per datagram.
+// partial completion.
+//
+// Ingress is receive(): one recvmmsg burst of up to batch() messages, each
+// datagram with its source. The socket also sets UDP_GRO, so the kernel
+// hands a GSO burst (or a NIC-coalesced run) to us as one message: one
+// buffer, one copy, one queue entry for up to 64 KiB of datagrams.
+// receive() reads the message's UDP_GRO control value (the segment size)
+// and splits the message back into its datagrams: all of that size but the
+// last, which may be shorter, each with the message's source. So callers
+// see the same datagrams in the same order as without GRO. A message the
+// kernel flags MSG_TRUNC or MSG_CTRUNC (payload or control data cut, so the
+// datagram boundaries are unknown) is dropped and counted, never parsed.
+//
+// Without the mmsg syscalls or UDP_SEGMENT (configure probes
+// NETCL_HAVE_MMSG, NETCL_HAVE_UDP_GSO), or when the kernel refuses
+// UDP_GRO, there is no coalescing: the kernel splits every burst and each
+// message is one datagram. Without the mmsg syscalls, the same calls fall
+// back to one sendto/recvfrom per datagram.
 //
 // Counters go into the owner's registry: send_syscalls, recv_syscalls (the
 // final empty probe that observes EAGAIN included), packets_sent,
-// bytes_sent, gso_batches (each also one send syscall), send_errors, and
-// the egress pool's buffer_pool.* series.
+// bytes_sent, gso_batches (each also one send syscall), gro_batches and
+// gro_segments (coalesced messages received and the datagrams they held),
+// recv_truncated, send_errors, and the egress pool's buffer_pool.* series.
 #pragma once
 
 #include <netinet/in.h>
@@ -43,11 +58,12 @@ namespace netcl::net {
 
 class DatagramSocket {
  public:
-  /// Ceiling on datagrams per syscall and segments per GSO super-datagram
+  /// Ceiling on messages per syscall and segments per GSO super-datagram
   /// (the syscall arrays are stack-allocated at this size).
   static constexpr std::size_t kMaxBatch = 32;
 
-  /// One received datagram; `bytes` is valid until the next receive().
+  /// One received datagram; `bytes` is valid until the next receive()
+  /// that makes a syscall (see held()).
   struct Datagram {
     std::span<const std::uint8_t> bytes;
     sockaddr_in from{};
@@ -55,7 +71,7 @@ class DatagramSocket {
 
   /// Binds to `port` on all addresses (0 = kernel-assigned) and counts into
   /// `metrics`, which must outlive the socket. `batch`, clamped to
-  /// [1, kMaxBatch], caps datagrams per syscall and GSO segments.
+  /// [1, kMaxBatch], caps messages per syscall and GSO segments.
   DatagramSocket(obs::MetricsRegistry& metrics, std::uint16_t port,
                  std::size_t batch = kMaxBatch);
   ~DatagramSocket();
@@ -69,6 +85,9 @@ class DatagramSocket {
   /// The descriptor to poll(2) for readability.
   [[nodiscard]] int fd() const { return fd_; }
   [[nodiscard]] std::size_t batch() const { return batch_; }
+  /// Whether the kernel accepted UDP_GRO, so receive() may split coalesced
+  /// messages.
+  [[nodiscard]] bool gro_enabled() const { return gro_enabled_; }
 
   /// An empty pooled buffer for one datagram to `to`. Fill it before the
   /// next queue() or flush().
@@ -77,10 +96,21 @@ class DatagramSocket {
   /// datagrams the kernel took. On a send failure the rest of the queue is
   /// counted in send_errors and dropped.
   std::size_t flush();
-  /// One receive burst of up to batch() datagrams in arrival order; empty
-  /// when nothing is waiting. A burst shorter than batch() means the
-  /// socket was drained when the syscall ran.
-  [[nodiscard]] std::span<const Datagram> receive();
+  /// Up to `max_datagrams` received datagrams in arrival order; empty when
+  /// nothing is waiting. Datagrams of the last syscall that did not fit
+  /// under `max_datagrams` are held and handed out first, without a
+  /// syscall, by the next call. Only when none are held does it make one
+  /// syscall for up to batch() messages, and with GRO one message may hold
+  /// many datagrams.
+  [[nodiscard]] std::span<const Datagram> receive(std::size_t max_datagrams = SIZE_MAX);
+  /// True when the last receive() left nothing behind: its syscall took
+  /// fewer than batch() messages, so the socket was empty when it ran, and
+  /// no datagrams are held. Counted in messages, so a full GRO message
+  /// needs no empty follow-up probe.
+  [[nodiscard]] bool drained() const { return drained_ && held() == 0; }
+  /// Datagrams received but held back by a max_datagrams cap. They are not
+  /// in the kernel's queue any more, so poll(2) does not report them.
+  [[nodiscard]] std::size_t held() const { return rx_.size() - rx_next_; }
 
  private:
   struct Outgoing {
@@ -96,12 +126,22 @@ class DatagramSocket {
   bool send_gso(std::size_t offset, std::size_t run);
   /// One sendmmsg from `offset`; the number taken, 0 after a failure.
   std::size_t send_mmsg(std::size_t offset);
+  /// One receive syscall: refills rx_ with every datagram it brought.
+  void receive_messages();
+  /// Appends the datagrams of one received message to rx_: `gso_size`
+  /// bytes each, the last possibly shorter. A `gso_size` of 0 or not below
+  /// `length` makes the whole message one datagram (an empty one included).
+  void split_message(const std::uint8_t* data, std::size_t length, std::size_t gso_size,
+                     const sockaddr_in& from);
 
   obs::Counter& send_syscalls_;
   obs::Counter& recv_syscalls_;
   obs::Counter& packets_sent_;
   obs::Counter& bytes_sent_;
   obs::Counter& gso_batches_;
+  obs::Counter& gro_batches_;
+  obs::Counter& gro_segments_;
+  obs::Counter& recv_truncated_;
   obs::Counter& send_errors_;
   int fd_ = -1;
   std::string error_;
@@ -109,12 +149,20 @@ class DatagramSocket {
   std::size_t batch_;
   /// Cleared for good when the kernel reports it cannot segment.
   bool gso_enabled_;
+  /// Set when the kernel accepted UDP_GRO at construction.
+  bool gro_enabled_ = false;
   BufferPool pool_;
   std::vector<Outgoing> egress_;
   /// batch_ receive slots of 64 KiB each, allocated on the first receive
   /// and left uninitialized (the kernel writes what is read).
   std::vector<std::unique_ptr<std::uint8_t[]>> rx_slots_;
+  /// The datagrams of the last syscall; rx_[rx_next_, end) are held. It
+  /// grows to the largest burst seen (batch_ messages of at most 64 KiB
+  /// each) and is reused after that.
   std::vector<Datagram> rx_;
+  std::size_t rx_next_ = 0;
+  /// The last syscall took fewer than batch_ messages.
+  bool drained_ = true;
 };
 
 }  // namespace netcl::net

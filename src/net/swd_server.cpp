@@ -23,12 +23,6 @@ namespace netcl::net {
 
 namespace {
 
-/// Receive bursts per poll cycle. A sustained flood must not pin the loop
-/// inside drain_data_socket — past this budget the excess stays in (and
-/// overflows) the kernel socket buffer, and the cycle moves on to the
-/// control plane.
-constexpr int kMaxDrainBursts = 8;
-
 /// "ip:port" for metrics/accounting labels.
 std::string endpoint_string(const sockaddr_in& addr) {
   char ip[INET_ADDRSTRLEN] = "?";
@@ -172,21 +166,24 @@ void SwdServer::emit(sim::Packet&& packet) {
 }
 
 void SwdServer::drain_data_socket(bool crashed) {
-  // Position within this receive burst doubles as the INT queue-depth
+  // Position within this cycle's receive doubles as the INT queue-depth
   // stamp — the daemon's analogue of the simulator's event-queue depth.
-  std::uint32_t burst_index = 0;
-  for (int bursts = 0; bursts < kMaxDrainBursts; ++bursts) {
-    const std::span<const DatagramSocket::Datagram> burst = socket_.receive();
+  std::size_t taken = 0;
+  while (taken < kMaxDrainDatagrams) {
+    const std::span<const DatagramSocket::Datagram> burst =
+        socket_.receive(kMaxDrainDatagrams - taken);
     for (const DatagramSocket::Datagram& datagram : burst) {
       if (crashed) {
         ++packets_dropped_crashed;
-        continue;
+      } else {
+        admit_datagram(datagram.bytes, datagram.from, static_cast<std::uint32_t>(taken));
       }
-      admit_datagram(datagram.bytes, datagram.from, burst_index++);
+      ++taken;
     }
-    // A short burst means the queue is (almost certainly) empty; anything
-    // racing in after the syscall is picked up on the next poll turn.
-    if (burst.size() < socket_.batch()) return;
+    // Fewer messages than a full batch means the queue is (almost
+    // certainly) empty; anything racing in after the syscall is picked up
+    // on the next poll turn.
+    if (socket_.drained()) return;
   }
 }
 
@@ -906,7 +903,8 @@ void SwdServer::poll_once(int timeout_ms) {
     }
     std::erase_if(connections_, [](const Connection& connection) { return connection.fd < 0; });
   }
-  std::vector<pollfd> fds;
+  std::vector<pollfd>& fds = poll_fds_;
+  fds.clear();
   fds.push_back({socket_.fd(), POLLIN, 0});
   fds.push_back({listen_fd_, POLLIN, 0});
   for (const Connection& connection : connections_) {
@@ -918,10 +916,12 @@ void SwdServer::poll_once(int timeout_ms) {
   for (const Connection& connection : metrics_connections_) {
     fds.push_back({connection.fd, POLLIN, 0});
   }
-  // With a backlog queued, don't sleep — poll only collects what's already
-  // ready and the cycle goes straight on to executing the queue.
-  const int ready = ::poll(fds.data(), fds.size(), ingress_.empty() ? timeout_ms : 0);
-  if (ready <= 0) {
+  // With a backlog queued or datagrams held by the socket, don't sleep —
+  // poll only collects what's already ready and the cycle goes straight on
+  // to draining and executing.
+  const bool backlog = !ingress_.empty() || socket_.held() > 0;
+  const int ready = ::poll(fds.data(), fds.size(), backlog ? 0 : timeout_ms);
+  if (ready <= 0 && socket_.held() == 0) {
     process_ingress();
     flush_egress();
     obs::flight(obs::FlightKind::kPollCycle, 0, 0);
@@ -929,12 +929,12 @@ void SwdServer::poll_once(int timeout_ms) {
   }
 
   const std::uint64_t received_before = packets_received.value();
-  if ((fds[0].revents & POLLIN) != 0) {
+  if (socket_.held() > 0 || (fds[0].revents & POLLIN) != 0) {
     drain_data_socket(crashed);
   }
   process_ingress();
   flush_egress();
-  obs::flight(obs::FlightKind::kPollCycle, static_cast<std::uint64_t>(ready),
+  obs::flight(obs::FlightKind::kPollCycle, static_cast<std::uint64_t>(std::max(ready, 0)),
               packets_received.value() - received_before);
   // accept_connection() below can grow connections_; only the pre-accept
   // entries have a pollfd at fds[2 + i].

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <netinet/in.h>
+#include <poll.h>
 
 #include <atomic>
 #include <chrono>
@@ -99,6 +100,13 @@ class SwdServer {
   obs::MetricsRegistry metrics_;
 
  public:
+  /// Datagrams received per poll cycle (eight full bursts without GRO). A
+  /// sustained flood must not pin the loop inside the drain — past this
+  /// budget the excess stays in (and overflows) the kernel socket buffer,
+  /// or is held by the socket for the next cycle, and the cycle moves on to
+  /// the control plane.
+  static constexpr std::size_t kMaxDrainDatagrams = 8 * DatagramSocket::kMaxBatch;
+
   /// Takes ownership of the device and binds both sockets; check valid().
   SwdServer(std::unique_ptr<sim::SwitchDevice> device, const SwdOptions& options);
   ~SwdServer();
@@ -236,8 +244,8 @@ class SwdServer {
   /// Serializes into the socket's egress queue; flush_egress() puts the
   /// whole cycle's output on the wire afterwards.
   void send_to_host(std::uint16_t host, const sim::Packet& packet);
-  /// Drains up to kMaxDrainBursts receive bursts and admits every datagram
-  /// of the cycle into the ingress queue.
+  /// Receives up to kMaxDrainDatagrams datagrams and admits each into the
+  /// ingress queue.
   void drain_data_socket(bool crashed);
   /// Transmits the cycle's egress in emission order.
   void flush_egress();
@@ -282,6 +290,8 @@ class SwdServer {
   double idle_timeout_seconds_ = 0.0;
   std::vector<Connection> connections_;
   std::vector<Connection> metrics_connections_;
+  /// poll_once's descriptor set, rebuilt every cycle into reused storage.
+  std::vector<pollfd> poll_fds_;
   // --- overload control state (ISSUE 8) -------------------------------------
   std::deque<IngressPacket> ingress_;
   std::size_t ingress_capacity_ = 1024;

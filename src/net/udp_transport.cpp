@@ -70,6 +70,9 @@ void UdpTransport::fire_due_timers() {
 void UdpTransport::drain_socket() {
   for (;;) {
     const std::span<const DatagramSocket::Datagram> burst = socket_.receive();
+    // A coalesced burst holds more datagrams than messages: grow the reused
+    // batch slots to the largest burst seen, once.
+    if (rx_batch_.size() < burst.size()) rx_batch_.resize(burst.size());
     std::size_t good = 0;
     for (const DatagramSocket::Datagram& datagram : burst) {
       bytes_received.inc(datagram.bytes.size());
@@ -84,9 +87,10 @@ void UdpTransport::drain_socket() {
     }
     if (!burst.empty()) obs::flight(obs::FlightKind::kBatchRecv, good, burst.size());
     if (good > 0) deliver({rx_batch_.data(), good});
-    // A short burst means the queue is (almost certainly) empty; anything
-    // racing in after the syscall is picked up on the next poll turn.
-    if (burst.size() < socket_.batch()) return;
+    // Fewer messages than a full batch means the queue is (almost
+    // certainly) empty; anything racing in after the syscall is picked up
+    // on the next poll turn.
+    if (socket_.drained()) return;
   }
 }
 

@@ -8,8 +8,9 @@
 //
 // The syscalls are net::DatagramSocket's, shared with the device daemon.
 // send_batch serializes into the socket's egress queue and flushes it; each
-// poll turn decodes the socket's receive bursts into reused packets and
-// hands each burst whole to the batch receiver.
+// poll turn decodes the socket's receive bursts (a GSO burst from the
+// daemon arrives as one coalesced message, split back by the socket) into
+// reused packets and hands each burst whole to the batch receiver.
 //
 // Metrics live in an obs registry (default name "udp"), so obs::dump()
 // shows the real-network path next to the fabric's counters.
@@ -90,7 +91,8 @@ class UdpTransport final : public Transport {
   /// packets_sent; that ratio is the bench's headline.
   obs::Counter& send_syscalls = metrics_.counter("send_syscalls");
   /// Receive-side syscalls, including the final empty probe that observes
-  /// EAGAIN.
+  /// EAGAIN. A burst shorter than a full batch of messages needs no probe,
+  /// so with GRO one daemon answer burst costs one syscall.
   obs::Counter& recv_syscalls = metrics_.counter("recv_syscalls");
   /// Equal-sized runs sent as one GSO super-datagram (each also counts
   /// once in send_syscalls).
@@ -118,7 +120,8 @@ class UdpTransport final : public Transport {
   std::string error_;
   sockaddr_in peer_{};
   bool has_peer_ = false;
-  /// Decoded packets of one receive burst, reused every burst.
+  /// Decoded packets of one receive burst, reused every burst; as long as
+  /// the largest burst seen (batch() messages, more datagrams with GRO).
   std::vector<sim::Packet> rx_batch_;
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
   std::uint64_t timer_sequence_ = 0;

@@ -74,6 +74,7 @@ const char* to_string(FlightKind kind) {
     case FlightKind::kSloFastBurn: return "slo_fast_burn";
     case FlightKind::kSloRecovered: return "slo_recovered";
     case FlightKind::kProfileDump: return "profile_dump";
+    case FlightKind::kRecvTruncated: return "recv_truncated";
   }
   return "unknown";
 }

@@ -82,6 +82,8 @@ enum class FlightKind : std::uint16_t {
   kSloFastBurn = 32,   // a=tenant id, b=short-window burn rate × 100
   kSloRecovered = 33,  // a=tenant id, b=previous state (SloState)
   kProfileDump = 34,   // a=samples captured so far, b=distinct stacks
+  // net::DatagramSocket receive.
+  kRecvTruncated = 35,  // a=message bytes received, b=msg_flags (MSG_TRUNC/MSG_CTRUNC)
 };
 
 /// Stable snake_case name for JSONL/trace output ("device_down", ...).

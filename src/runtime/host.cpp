@@ -69,19 +69,19 @@ void HostRuntime::deliver_packet(const sim::Packet& packet) {
     return;
   }
   const int comp = packet.netcl.comp;
-  const KernelSpec* spec = spec_for(comp);
-  if (spec == nullptr) {
+  Computation* entry = find_computation(comp);
+  if (entry == nullptr) {
     ++dropped_unknown_computation;
     warn_once("received computation " + std::to_string(comp) +
               " has no registered kernel spec; dropping");
     return;
   }
   const auto unpack_start = std::chrono::steady_clock::now();
-  auto [message, args] = unpack(packet, *spec);
+  auto [message, args] = unpack(packet, entry->spec);
   const double unpack_duration_ns = wall_ns_since(unpack_start);
   unpack_ns.record(unpack_duration_ns);
   ++received;
-  ++metrics_.counter("comp" + std::to_string(comp) + ".received");
+  ++*entry->received;
   auto& pending = pending_round_trips_[comp];
   if (!pending.empty()) {
     const PendingSend stamp = pending.front();
@@ -126,7 +126,11 @@ void HostRuntime::deliver_packet(const sim::Packet& packet) {
 }
 
 void HostRuntime::register_spec(int computation, KernelSpec spec) {
-  specs_[computation] = std::move(spec);
+  Computation& entry = computations_[computation];
+  entry.spec = std::move(spec);
+  const std::string prefix = "comp" + std::to_string(computation);
+  entry.sent = &metrics_.counter(prefix + ".sent");
+  entry.received = &metrics_.counter(prefix + ".received");
 }
 
 void HostRuntime::set_slo_objective(int computation, const obs::SloObjective& objective) {
@@ -135,14 +139,19 @@ void HostRuntime::set_slo_objective(int computation, const obs::SloObjective& ob
 }
 
 const KernelSpec* HostRuntime::spec_for(int computation) const {
-  const auto it = specs_.find(computation);
-  return it == specs_.end() ? nullptr : &it->second;
+  const auto it = computations_.find(computation);
+  return it == computations_.end() ? nullptr : &it->second.spec;
+}
+
+HostRuntime::Computation* HostRuntime::find_computation(int id) {
+  const auto it = computations_.find(id);
+  return it == computations_.end() ? nullptr : &it->second;
 }
 
 bool HostRuntime::prepare_send(Message& message, const sim::ArgValues& args,
                                sim::Packet& out) {
-  const KernelSpec* spec = spec_for(message.comp);
-  if (spec == nullptr) {
+  Computation* entry = find_computation(message.comp);
+  if (entry == nullptr) {
     ++dropped_unregistered_send;
     warn_once("send for computation " + std::to_string(message.comp) +
               " has no registered kernel spec; dropping");
@@ -150,7 +159,7 @@ bool HostRuntime::prepare_send(Message& message, const sim::ArgValues& args,
   }
   message.src = host_id_;
   const auto pack_start = std::chrono::steady_clock::now();
-  out = pack(message, *spec, args);
+  out = pack(message, entry->spec, args);
   const double pack_duration_ns = wall_ns_since(pack_start);
   pack_ns.record(pack_duration_ns);
   // With a collector attached, ask devices on the path to stamp INT hops
@@ -172,7 +181,7 @@ bool HostRuntime::prepare_send(Message& message, const sim::ArgValues& args,
   }
   pending.push_back({transport_->now_ns(), pack_duration_ns});
   ++sent;
-  ++metrics_.counter("comp" + std::to_string(message.comp) + ".sent");
+  ++*entry->sent;
   return true;
 }
 
@@ -220,7 +229,7 @@ bool HostRuntime::handle_down_send(sim::Packet& packet, int computation) {
       }
       ++fallback_host_executed;
       ++sent;
-      ++metrics_.counter("comp" + std::to_string(computation) + ".sent");
+      ++*computations_.at(computation).sent;
       pending_round_trips_[computation].push_back({transport_->now_ns(), 0.0});
       const sim::StepOutcome step = shadow_device_->process(packet);
       if (step.forward.drop) return true;
@@ -265,7 +274,7 @@ void HostRuntime::flush_queue() {
     transport_->send(std::move(packet));
     ++sent;
     ++fallback_flushed;
-    ++metrics_.counter("comp" + std::to_string(comp) + ".sent");
+    ++*computations_.at(comp).sent;
   }
   if (had_queue) {
     obs::flight(obs::FlightKind::kQueueFlush, fallback_flushed.value() - flushed_before);

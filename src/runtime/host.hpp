@@ -213,7 +213,17 @@ class HostRuntime {
   /// (fabric delivery is event-queued; UDP delivery happens in poll).
   std::vector<sim::Packet> tx_batch_;
   std::uint16_t host_id_;
-  std::map<int, KernelSpec> specs_;
+  /// A registered computation: its message layout and its per-computation
+  /// counters ("comp<id>.sent" / ".received"), resolved once at
+  /// register_spec so the per-packet path increments a handle instead of
+  /// building and looking up a name.
+  struct Computation {
+    KernelSpec spec;
+    obs::Counter* sent = nullptr;
+    obs::Counter* received = nullptr;
+  };
+  [[nodiscard]] Computation* find_computation(int id);
+  std::map<int, Computation> computations_;
   Receiver receiver_;
   obs::SpanCollector* collector_ = nullptr;  // not owned
   /// One outstanding send awaiting its response: the transport-clock send

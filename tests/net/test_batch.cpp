@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -28,6 +29,7 @@
 #include "net/udp_transport.hpp"
 #include "net/wire.hpp"
 #include "runtime/host.hpp"
+#include "segmented_sender.hpp"
 #include "sim/fabric.hpp"
 
 namespace netcl::net {
@@ -245,6 +247,109 @@ TEST(DatagramSocket, OnlyKernelRefusalsTurnGsoOff) {
   for (const Case& c : cases) {
     EXPECT_EQ(gso_unsupported(c.error), c.turns_gso_off) << std::strerror(c.error);
   }
+}
+
+// --- coalesced receive (UDP GRO) ----------------------------------------------
+
+using Bytes = std::vector<std::uint8_t>;
+
+/// `count` datagrams of `size` bytes, then a `tail`-byte one when tail > 0;
+/// every byte names its datagram, so a wrong cut or order shows.
+std::vector<Bytes> numbered_run(std::size_t count, std::size_t size, std::size_t tail) {
+  std::vector<Bytes> run;
+  for (std::size_t i = 0; i < count; ++i) {
+    Bytes datagram(size);
+    for (std::size_t j = 0; j < size; ++j) datagram[j] = static_cast<std::uint8_t>(i * 7 + j);
+    run.push_back(std::move(datagram));
+  }
+  if (tail > 0) run.push_back(Bytes(tail, 0xEE));
+  return run;
+}
+
+bool wait_readable(int fd) {
+  pollfd pfd{fd, POLLIN, 0};
+  return ::poll(&pfd, 1, 2000) > 0;
+}
+
+TEST(GroReceive, SegmentedBurstsArriveAsTheOriginalDatagrams) {
+  obs::MetricsRegistry metrics("gro_receive_test");
+  DatagramSocket socket(metrics, 0);
+  ASSERT_TRUE(socket.valid()) << socket.error();
+  testutil::SegmentedSender sender;
+  ASSERT_NE(sender.port(), 0);
+  const sockaddr_in to = testutil::SegmentedSender::loopback(socket.local_port());
+
+  struct Case {
+    std::size_t count;
+    std::size_t size;
+    std::size_t tail;
+  };
+  // A full burst of equal datagrams, and a short one with a shorter tail.
+  for (const Case& c : {Case{32, 40, 0}, Case{7, 90, 33}}) {
+    SCOPED_TRACE(std::to_string(c.count) + " x " + std::to_string(c.size) + " + " +
+                 std::to_string(c.tail));
+    const std::vector<Bytes> sent = numbered_run(c.count, c.size, c.tail);
+    const bool segmented = sender.send(to, sent);
+    const std::uint64_t syscalls_before = metrics.counter("recv_syscalls").value();
+    const std::uint64_t gro_before = metrics.counter("gro_batches").value();
+
+    std::vector<Bytes> received;
+    std::size_t receives = 0;
+    while (received.size() < sent.size() && wait_readable(socket.fd())) {
+      ++receives;
+      for (const DatagramSocket::Datagram& datagram : socket.receive()) {
+        received.emplace_back(datagram.bytes.begin(), datagram.bytes.end());
+        EXPECT_EQ(datagram.from.sin_addr.s_addr, htonl(INADDR_LOOPBACK));
+        EXPECT_EQ(ntohs(datagram.from.sin_port), sender.port());
+      }
+    }
+    EXPECT_EQ(received, sent);
+    if (segmented && socket.gro_enabled()) {
+      // One coalesced message, split back; fewer messages than a full
+      // batch, so no empty probe follows.
+      EXPECT_EQ(receives, 1u);
+      EXPECT_TRUE(socket.drained());
+      EXPECT_EQ(metrics.counter("recv_syscalls").value() - syscalls_before, 1u);
+      EXPECT_EQ(metrics.counter("gro_batches").value() - gro_before, 1u);
+    }
+  }
+  EXPECT_EQ(metrics.counter("recv_truncated").value(), 0u);
+  if (socket.gro_enabled()) {
+    EXPECT_EQ(metrics.counter("gro_segments").value(), 32u + 8u);
+  }
+}
+
+TEST(GroReceive, CappedReceiveHoldsTheRestWithoutASyscall) {
+  obs::MetricsRegistry metrics("gro_receive_test");
+  DatagramSocket socket(metrics, 0);
+  ASSERT_TRUE(socket.valid()) << socket.error();
+  testutil::SegmentedSender sender;
+  const std::vector<Bytes> sent = numbered_run(32, 24, 0);
+  const bool segmented =
+      sender.send(testutil::SegmentedSender::loopback(socket.local_port()), sent);
+  ASSERT_TRUE(wait_readable(socket.fd()));
+
+  std::vector<Bytes> received;
+  auto take = [&](std::span<const DatagramSocket::Datagram> burst) {
+    for (const DatagramSocket::Datagram& datagram : burst) {
+      received.emplace_back(datagram.bytes.begin(), datagram.bytes.end());
+    }
+    return burst.size();
+  };
+  EXPECT_EQ(take(socket.receive(5)), 5u);
+  const std::size_t held = socket.held();
+  if (segmented && socket.gro_enabled()) {
+    EXPECT_EQ(held, sent.size() - 5);
+  }
+  ASSERT_GT(held, 0u);
+  EXPECT_FALSE(socket.drained());
+  // The held datagrams come first, without another syscall.
+  const std::uint64_t syscalls = metrics.counter("recv_syscalls").value();
+  EXPECT_EQ(take(socket.receive()), held);
+  EXPECT_EQ(metrics.counter("recv_syscalls").value(), syscalls);
+  EXPECT_EQ(socket.held(), 0u);
+  while (received.size() < sent.size() && wait_readable(socket.fd())) take(socket.receive());
+  EXPECT_EQ(received, sent);
 }
 
 // --- SimTransport / HostRuntime batch equivalence -----------------------------

@@ -19,6 +19,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -32,6 +33,7 @@
 #include "net/swd_server.hpp"
 #include "net/wire.hpp"
 #include "runtime/error.hpp"
+#include "segmented_sender.hpp"
 #include "sim/switch.hpp"
 
 namespace netcl::net {
@@ -310,6 +312,101 @@ TEST(Overload, MalformedDatagramsCountedAndAttributedBySource) {
   EXPECT_NE(text.find("netcl_malformed_by_source"), std::string::npos) << text;
   EXPECT_NE(text.find("source=\"127.0.0.1:"), std::string::npos) << text;
   EXPECT_NE(text.find("netcl_packets_malformed_total"), std::string::npos) << text;
+}
+
+// --- coalesced flood ----------------------------------------------------------
+
+/// Whether this build and kernel coalesce on receive; the daemon's data
+/// socket is a DatagramSocket like this probe.
+bool receive_coalesces() {
+  obs::MetricsRegistry metrics("gro_probe");
+  const DatagramSocket probe(metrics, 0);
+  return probe.gro_enabled();
+}
+
+TEST(Overload, SegmentedFloodCountsEveryDatagramWithinTheCycleBudget) {
+  KernelSpec spec1, spec2;
+  SwdOptions options;
+  options.ingress_queue_capacity = 512;
+  SwdServer server(two_tenant_device(spec1, spec2), options);
+  ASSERT_TRUE(server.valid()) << server.error();
+  testutil::SegmentedSender flooder;
+  ASSERT_NE(flooder.port(), 0);
+  const sockaddr_in to = testutil::SegmentedSender::loopback(server.udp_port());
+
+  // 16 super-datagrams of 64 equal-size datagrams; every second one has a
+  // broken magic, the rest are CALC requests whose answers come back to
+  // the flooder. Without GRO the kernel queues each datagram on its own
+  // and the socket buffer holds only ~250 small ones, so the flood goes
+  // out a few super-datagrams at a time; with GRO one super-datagram is
+  // one queue entry and all 1,024 datagrams wait at once, four times the
+  // cycle budget.
+  constexpr std::size_t kMessages = 16;
+  constexpr std::size_t kSegments = 64;
+  const bool coalesces = receive_coalesces();
+  const std::size_t per_round = coalesces ? kMessages : 3;
+  std::vector<std::uint64_t> expected;
+  std::vector<std::uint64_t> answers;
+  auto read_answers = [&] {
+    std::uint8_t buffer[4096];
+    for (;;) {
+      const ssize_t n = ::recv(flooder.fd(), buffer, sizeof(buffer), MSG_DONTWAIT);
+      if (n <= 0) return;
+      sim::Packet answer;
+      ASSERT_TRUE(deserialize_packet({buffer, static_cast<std::size_t>(n)}, answer));
+      answers.push_back(sim::decode_args(spec1, answer.payload)[3][0]);
+    }
+  };
+  // Datagrams the daemon has taken off its socket so far.
+  auto seen = [&] { return server.packets_received.value() + server.packets_malformed.value(); };
+  std::size_t malformed = 0;
+  std::size_t max_cycle = 0;
+  std::uint64_t a = 0;
+  for (std::size_t sent = 0; sent < kMessages;) {
+    const std::size_t round = std::min(per_round, kMessages - sent);
+    for (std::size_t m = 0; m < round; ++m) {
+      std::vector<Bytes> message;
+      for (std::size_t segment = 0; segment < kSegments; ++segment, ++a) {
+        Bytes datagram = calc_datagram(spec1, /*src_host=*/1, /*comp=*/1, a, 5);
+        if (segment % 2 == 1) {
+          datagram[0] ^= 0xFF;
+          ++malformed;
+        } else {
+          expected.push_back(a + 5);
+        }
+        message.push_back(std::move(datagram));
+      }
+      flooder.send(to, message);
+    }
+    sent += round;
+    for (int cycle = 0; cycle < 400 && seen() < sent * kSegments; ++cycle) {
+      const std::uint64_t before = seen();
+      server.poll_once(10);
+      const std::uint64_t taken = seen() - before;
+      EXPECT_LE(taken, SwdServer::kMaxDrainDatagrams);
+      max_cycle = std::max<std::size_t>(max_cycle, taken);
+      // Admitted, minus shed, minus answered: what the queue still holds.
+      EXPECT_LE(server.packets_received.value() - server.packets_shed_queue.value() -
+                    server.packets_sent.value(),
+                options.ingress_queue_capacity);
+      read_answers();
+    }
+  }
+  for (int cycle = 0; cycle < 400 && answers.size() < expected.size(); ++cycle) {
+    server.poll_once(10);
+    read_answers();
+  }
+
+  EXPECT_EQ(server.packets_malformed.value(), malformed);
+  EXPECT_EQ(server.packets_received.value(), expected.size());
+  EXPECT_EQ(server.packets_shed_queue.value(), 0u);
+  EXPECT_EQ(answers, expected);
+  EXPECT_EQ(server.metrics().counter("recv_truncated").value(), 0u);
+  if (coalesces) {
+    // The flood outran the budget, and the budget held.
+    EXPECT_EQ(max_cycle, SwdServer::kMaxDrainDatagrams);
+    EXPECT_GE(server.metrics().counter("gro_batches").value(), 1u);
+  }
 }
 
 // --- control-plane perimeter --------------------------------------------------
