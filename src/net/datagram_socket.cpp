@@ -16,6 +16,13 @@
 #define NETCL_HAVE_UDP_GRO 0
 #endif
 
+// The kernel's drop count rides the recvmmsg control data.
+#if NETCL_HAVE_MMSG && defined(SO_RXQ_OVFL)
+#define NETCL_HAVE_RXQ_OVFL 1
+#else
+#define NETCL_HAVE_RXQ_OVFL 0
+#endif
+
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
@@ -32,6 +39,11 @@ constexpr std::size_t kMaxDatagram = 65536;
 /// Conservative cap on one GSO super-datagram (the kernel bounds the
 /// gathered payload by the 65507-byte UDP maximum).
 constexpr std::size_t kMaxGsoBytes = 65000;
+
+/// Receive buffer requested at construction: room for a few thousand small
+/// datagrams that arrive uncoalesced, where the kernel default
+/// (rmem_default, 208 KiB on common kernels) holds about 250.
+constexpr int kReceiveBufferBytes = 4 << 20;
 
 }  // namespace
 
@@ -57,6 +69,7 @@ DatagramSocket::DatagramSocket(obs::MetricsRegistry& metrics, std::uint16_t port
       gro_batches_(metrics.counter("gro_batches")),
       gro_segments_(metrics.counter("gro_segments")),
       recv_truncated_(metrics.counter("recv_truncated")),
+      recv_dropped_(metrics.counter("recv_dropped")),
       send_errors_(metrics.counter("send_errors")),
       batch_(std::clamp<std::size_t>(batch, 1, kMaxBatch)),
       gso_enabled_(gso_compiled_in()) {
@@ -81,10 +94,22 @@ DatagramSocket::DatagramSocket(obs::MetricsRegistry& metrics, std::uint16_t port
   local_port_ = ntohs(local.sin_port);
   const int flags = ::fcntl(fd_, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
+  // Best effort: the kernel silently caps the request at rmem_max, so the
+  // gauge reports what it granted (doubled for its bookkeeping overhead).
+  const int requested = kReceiveBufferBytes;
+  ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &requested, sizeof(requested));
+  int granted = 0;
+  socklen_t granted_len = sizeof(granted);
+  if (::getsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &granted, &granted_len) == 0) {
+    metrics.gauge("socket.rcvbuf_bytes").set(static_cast<double>(granted));
+  }
+  [[maybe_unused]] const int on = 1;
+#if NETCL_HAVE_RXQ_OVFL
+  drops_counted_ = ::setsockopt(fd_, SOL_SOCKET, SO_RXQ_OVFL, &on, sizeof(on)) == 0;
+#endif
 #if NETCL_HAVE_UDP_GRO
   // A kernel that refuses the option keeps splitting bursts on arrival;
   // receive() then sees one datagram per message, exactly as without it.
-  const int on = 1;
   gro_enabled_ = ::setsockopt(fd_, SOL_UDP, UDP_GRO, &on, sizeof(on)) == 0;
 #endif
   rx_.reserve(batch_);
@@ -102,6 +127,10 @@ std::vector<std::uint8_t>& DatagramSocket::queue(const sockaddr_in& to) {
 std::size_t DatagramSocket::flush() {
   std::size_t sent = 0;
 #if NETCL_HAVE_MMSG
+#if NETCL_HAVE_UDP_GSO
+  // Only GSO gains from adjacency; sendmmsg takes any mix of destinations.
+  if (gso_enabled_) group_by_destination();
+#endif
   while (sent < egress_.size()) {
 #if NETCL_HAVE_UDP_GSO
     // A run that rides GSO goes out in one syscall. If the kernel refuses
@@ -138,6 +167,48 @@ std::size_t DatagramSocket::flush() {
 }
 
 #if NETCL_HAVE_MMSG && NETCL_HAVE_UDP_GSO
+void DatagramSocket::group_by_destination() {
+  // IPv4 address and port, both as they sit in the sockaddr_in.
+  const auto destination = [](const sockaddr_in& to) {
+    return (static_cast<std::uint64_t>(to.sin_addr.s_addr) << 16) | to.sin_port;
+  };
+  const std::size_t count = egress_.size();
+  if (count < 2) return;
+  const std::uint64_t head = destination(egress_[0].to);
+  std::size_t same = 1;
+  while (same < count && destination(egress_[same].to) == head) ++same;
+  if (same == count) return;  // one destination: already grouped
+
+  // Sort by (destination, position) so each destination's datagrams are
+  // contiguous and in queue order; then re-key each one by its
+  // destination's first position and sort again, which orders the
+  // destinations by first appearance. std::sort works in place, unlike
+  // std::stable_sort, whose temporary buffer would allocate per flush.
+  const auto by_key = [](const Position& a, const Position& b) {
+    return a.key != b.key ? a.key < b.key : a.index < b.index;
+  };
+  positions_.clear();
+  for (std::size_t i = 0; i < count; ++i) {
+    positions_.push_back({destination(egress_[i].to), static_cast<std::uint32_t>(i)});
+  }
+  std::sort(positions_.begin(), positions_.end(), by_key);
+  std::uint64_t previous = positions_[0].key;
+  std::uint32_t first = positions_[0].index;
+  for (Position& position : positions_) {
+    if (position.key != previous) {
+      previous = position.key;
+      first = position.index;
+    }
+    position.key = first;
+  }
+  std::sort(positions_.begin(), positions_.end(), by_key);
+  grouped_.clear();
+  for (const Position& position : positions_) {
+    grouped_.push_back(std::move(egress_[position.index]));
+  }
+  egress_.swap(grouped_);
+}
+
 std::size_t DatagramSocket::gso_run(std::size_t offset) const {
   const Outgoing& first = egress_[offset];
   const std::size_t size = first.wire.size();
@@ -268,11 +339,13 @@ void DatagramSocket::receive_messages() {
   mmsghdr msgs[kMaxBatch];
   iovec iovs[kMaxBatch];
   sockaddr_in from[kMaxBatch];
-#if NETCL_HAVE_UDP_GRO
-  // Room for the one control message the kernel attaches to a coalesced
-  // message: UDP_GRO with an int segment size.
-  alignas(cmsghdr) char control[kMaxBatch][CMSG_SPACE(sizeof(int))];
-#endif
+  // Room for both control messages the kernel may attach to one message:
+  // UDP_GRO with an int segment size, and SO_RXQ_OVFL with a u32 drop
+  // count. Without room for both, the kernel would cut the second and flag
+  // the message MSG_CTRUNC, and it would be dropped below.
+  alignas(cmsghdr) char control[kMaxBatch][CMSG_SPACE(sizeof(int)) +
+                                           CMSG_SPACE(sizeof(std::uint32_t))];
+  const bool want_control = gro_enabled_ || drops_counted_;
   std::memset(msgs, 0, batch_ * sizeof(mmsghdr));
   for (std::size_t i = 0; i < batch_; ++i) {
     iovs[i] = {rx_slots_[i].get(), kMaxDatagram};
@@ -280,12 +353,10 @@ void DatagramSocket::receive_messages() {
     msgs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
     msgs[i].msg_hdr.msg_iov = &iovs[i];
     msgs[i].msg_hdr.msg_iovlen = 1;
-#if NETCL_HAVE_UDP_GRO
-    if (gro_enabled_) {
+    if (want_control) {
       msgs[i].msg_hdr.msg_control = control[i];
       msgs[i].msg_hdr.msg_controllen = sizeof(control[i]);
     }
-#endif
   }
   const int count = ::recvmmsg(fd_, msgs, static_cast<unsigned>(batch_), 0, nullptr);
   ++recv_syscalls_;
@@ -297,6 +368,30 @@ void DatagramSocket::receive_messages() {
   drained_ = messages < batch_;
   for (std::size_t i = 0; i < messages; ++i) {
     msghdr& hdr = msgs[i].msg_hdr;
+    std::size_t gso_size = 0;
+    for (cmsghdr* cmsg = CMSG_FIRSTHDR(&hdr); cmsg != nullptr; cmsg = CMSG_NXTHDR(&hdr, cmsg)) {
+#if NETCL_HAVE_UDP_GRO
+      if (cmsg->cmsg_level == SOL_UDP && cmsg->cmsg_type == UDP_GRO) {
+        int value = 0;
+        std::memcpy(&value, CMSG_DATA(cmsg), sizeof(value));
+        gso_size = value > 0 ? static_cast<std::size_t>(value) : 0;
+      }
+#endif
+#if NETCL_HAVE_RXQ_OVFL
+      if (cmsg->cmsg_level == SOL_SOCKET && cmsg->cmsg_type == SO_RXQ_OVFL) {
+        // The kernel's running count; the kernel attaches it only once it
+        // is non-zero, to messages queued after a drop.
+        std::uint32_t drops = 0;
+        std::memcpy(&drops, CMSG_DATA(cmsg), sizeof(drops));
+        const std::uint32_t fresh = drops - kernel_drops_;
+        kernel_drops_ = drops;
+        if (fresh != 0) {
+          recv_dropped_.inc(fresh);
+          obs::flight(obs::FlightKind::kRecvDropped, fresh, drops);
+        }
+      }
+#endif
+    }
     if ((hdr.msg_flags & (MSG_TRUNC | MSG_CTRUNC)) != 0) {
       // Without its whole payload and its UDP_GRO value the message's
       // datagram boundaries are unknown: parsing a coalesced burst as one
@@ -306,16 +401,6 @@ void DatagramSocket::receive_messages() {
                   static_cast<std::uint64_t>(hdr.msg_flags));
       continue;
     }
-    std::size_t gso_size = 0;
-#if NETCL_HAVE_UDP_GRO
-    for (cmsghdr* cmsg = CMSG_FIRSTHDR(&hdr); cmsg != nullptr; cmsg = CMSG_NXTHDR(&hdr, cmsg)) {
-      if (cmsg->cmsg_level == SOL_UDP && cmsg->cmsg_type == UDP_GRO) {
-        int value = 0;
-        std::memcpy(&value, CMSG_DATA(cmsg), sizeof(value));
-        gso_size = value > 0 ? static_cast<std::size_t>(value) : 0;
-      }
-    }
-#endif
     split_message(rx_slots_[i].get(), msgs[i].msg_len, gso_size, from[i]);
   }
 #else

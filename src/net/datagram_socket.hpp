@@ -3,12 +3,17 @@
 // (SwdServer).
 //
 // Egress is a queue: queue(to) hands out a pooled buffer to serialize one
-// datagram into, and flush() sends everything queued, in order. Consecutive
-// datagrams of one size to one destination ride one UDP GSO super-datagram
-// (UDP_SEGMENT), which traverses the network stack once and is split into
-// ordinary datagrams at the bottom, so receivers see identical bytes. The
-// rest go through sendmmsg with a destination per message, resuming after a
-// partial completion.
+// datagram into, and flush() sends everything queued, in queue order per
+// destination. With GSO on, flush() first groups the queue by destination
+// (destinations ordered by first appearance, each one's datagrams in queue
+// order), so a destination's datagrams stay adjacent even when the queue
+// interleaves them with other destinations' (a daemon answering two hosts
+// in one cycle). Consecutive datagrams of one size to one destination then
+// ride one UDP GSO super-datagram (UDP_SEGMENT), which traverses the
+// network stack once and is split into ordinary datagrams at the bottom,
+// so receivers see identical bytes. The rest go through sendmmsg with a
+// destination per message, resuming after a partial completion. Order
+// across destinations is not kept: no receiver can observe it.
 //
 // Ingress is receive(): one recvmmsg burst of up to batch() messages, each
 // datagram with its source. The socket also sets UDP_GRO, so the kernel
@@ -21,17 +26,26 @@
 // kernel flags MSG_TRUNC or MSG_CTRUNC (payload or control data cut, so the
 // datagram boundaries are unknown) is dropped and counted, never parsed.
 //
+// The socket asks for a 4 MiB receive buffer (the kernel caps it at
+// net.core.rmem_max) and publishes the size granted in the
+// socket.rcvbuf_bytes gauge. It also sets SO_RXQ_OVFL: the kernel then
+// stamps each message with its running count of datagrams it dropped on
+// this socket (buffer full), and receive() adds the increase to
+// recv_dropped. A drop shows with the next message that arrives after it.
+//
 // Without the mmsg syscalls or UDP_SEGMENT (configure probes
 // NETCL_HAVE_MMSG, NETCL_HAVE_UDP_GSO), or when the kernel refuses
 // UDP_GRO, there is no coalescing: the kernel splits every burst and each
 // message is one datagram. Without the mmsg syscalls, the same calls fall
-// back to one sendto/recvfrom per datagram.
+// back to one sendto/recvfrom per datagram, in queue order; that path reads
+// no control data, so recv_dropped stays 0 there.
 //
 // Counters go into the owner's registry: send_syscalls, recv_syscalls (the
 // final empty probe that observes EAGAIN included), packets_sent,
 // bytes_sent, gso_batches (each also one send syscall), gro_batches and
 // gro_segments (coalesced messages received and the datagrams they held),
-// recv_truncated, send_errors, and the egress pool's buffer_pool.* series.
+// recv_truncated, recv_dropped, send_errors, and the egress pool's
+// buffer_pool.* series.
 #pragma once
 
 #include <netinet/in.h>
@@ -88,13 +102,16 @@ class DatagramSocket {
   /// Whether the kernel accepted UDP_GRO, so receive() may split coalesced
   /// messages.
   [[nodiscard]] bool gro_enabled() const { return gro_enabled_; }
+  /// Whether receive() counts the kernel's receive-buffer drops into
+  /// recv_dropped (SO_RXQ_OVFL accepted, and the recvmmsg path built).
+  [[nodiscard]] bool drops_counted() const { return drops_counted_; }
 
   /// An empty pooled buffer for one datagram to `to`. Fill it before the
   /// next queue() or flush().
   [[nodiscard]] std::vector<std::uint8_t>& queue(const sockaddr_in& to);
-  /// Sends everything queued, in queue order, and returns the number of
-  /// datagrams the kernel took. On a send failure the rest of the queue is
-  /// counted in send_errors and dropped.
+  /// Sends everything queued, in queue order per destination, and returns
+  /// the number of datagrams the kernel took. On a send failure the rest
+  /// of the queue is counted in send_errors and dropped.
   std::size_t flush();
   /// Up to `max_datagrams` received datagrams in arrival order; empty when
   /// nothing is waiting. Datagrams of the last syscall that did not fit
@@ -117,7 +134,17 @@ class DatagramSocket {
     sockaddr_in to{};
     std::vector<std::uint8_t> wire;  // borrowed from pool_ until the flush
   };
+  /// A queued datagram's sort key in group_by_destination().
+  struct Position {
+    std::uint64_t key;  // its destination, then that destination's first index
+    std::uint32_t index;  // in egress_
+  };
 
+  /// Reorders egress_ so each destination's datagrams are adjacent:
+  /// destinations by first appearance, each one's datagrams in queue
+  /// order. O(n log n) and allocation-free once the scratch vectors have
+  /// grown to the largest queue.
+  void group_by_destination();
   /// Length of the run at `offset` that can ride one GSO super-datagram:
   /// equal sizes, one destination, within the segment and byte caps.
   [[nodiscard]] std::size_t gso_run(std::size_t offset) const;
@@ -142,6 +169,7 @@ class DatagramSocket {
   obs::Counter& gro_batches_;
   obs::Counter& gro_segments_;
   obs::Counter& recv_truncated_;
+  obs::Counter& recv_dropped_;
   obs::Counter& send_errors_;
   int fd_ = -1;
   std::string error_;
@@ -151,8 +179,17 @@ class DatagramSocket {
   bool gso_enabled_;
   /// Set when the kernel accepted UDP_GRO at construction.
   bool gro_enabled_ = false;
+  /// Set when the kernel accepted SO_RXQ_OVFL on the recvmmsg path.
+  bool drops_counted_ = false;
+  /// The kernel's running drop count carried by the last message that had
+  /// one (it wraps at 2^32; the delta is taken modulo that).
+  std::uint32_t kernel_drops_ = 0;
   BufferPool pool_;
   std::vector<Outgoing> egress_;
+  /// group_by_destination()'s scratch: a sort key per queued datagram, and
+  /// the regrouped queue that is swapped with egress_.
+  std::vector<Position> positions_;
+  std::vector<Outgoing> grouped_;
   /// batch_ receive slots of 64 KiB each, allocated on the first receive
   /// and left uninitialized (the kernel writes what is read).
   std::vector<std::unique_ptr<std::uint8_t[]>> rx_slots_;

@@ -156,7 +156,7 @@ void SwdServer::send_to_host(std::uint16_t host, const sim::Packet& packet) {
 
 void SwdServer::flush_egress() { socket_.flush(); }
 
-void SwdServer::emit(sim::Packet&& packet) {
+void SwdServer::emit(const sim::Packet& packet) {
   if (packet.netcl.to != 0 && packet.netcl.to != device_->device_id()) {
     // A single-daemon deployment has no second device to forward to.
     ++dropped_no_route;
@@ -187,9 +187,18 @@ void SwdServer::drain_data_socket(bool crashed) {
   }
 }
 
+SwdServer::IngressPacket& SwdServer::ingress_tail() {
+  const std::size_t tail = (ingress_head_ + ingress_size_) % (ingress_capacity_ + 1);
+  // The tail walks the slots one by one from 0, so it meets the end of the
+  // vector exactly when a queue this deep is first seen.
+  if (tail == ingress_slots_.size()) ingress_slots_.emplace_back();
+  return ingress_slots_[tail];
+}
+
 void SwdServer::admit_datagram(std::span<const std::uint8_t> bytes, const sockaddr_in& from,
                                std::uint32_t queue_depth) {
-  sim::Packet packet;
+  IngressPacket& in = ingress_tail();
+  sim::Packet& packet = in.packet;
   const runtime::Error err = deserialize_packet_e(bytes, packet);
   if (!err.ok()) {
     // Hostile or corrupt bytes: count globally and per source endpoint
@@ -220,21 +229,19 @@ void SwdServer::admit_datagram(std::span<const std::uint8_t> bytes, const sockad
   // need it (the paper's testbed wires this knowledge into the base
   // forwarding program instead).
   if (packet.netcl.src != 0) host_endpoints_[packet.netcl.src] = from;
-  IngressPacket in;
   in.ingress_ns = packet.telemetry.requested ? device_clock_ns() : 0;
   in.admit_ns =
       slo_enabled_ && slo_.has_objective(tenant) ? device_clock_ns() : 0;
-  in.packet = std::move(packet);
   in.from = from;
   in.queue_depth = queue_depth;
   in.tenant = tenant;
-  ingress_.push_back(std::move(in));
-  if (ingress_.size() > ingress_capacity_) {
+  if (++ingress_size_ > ingress_capacity_) {
     // Drop-oldest: the stalest packet is the least useful one, and the
     // shed is charged to *its* tenant, so a flooder filling the queue
     // mostly sheds its own backlog.
-    count_shed(ingress_.front().tenant, /*policer=*/false);
-    ingress_.pop_front();
+    count_shed(ingress_slots_[ingress_head_].tenant, /*policer=*/false);
+    ingress_head_ = (ingress_head_ + 1) % (ingress_capacity_ + 1);
+    --ingress_size_;
   }
 }
 
@@ -268,9 +275,12 @@ void SwdServer::process_ingress() {
   // Bounded work per cycle: a deep backlog is drained across cycles with
   // the control plane serviced in between, not in one starving burst.
   std::size_t budget = max_cycle_execute_;
-  while (!ingress_.empty() && budget-- > 0) {
-    IngressPacket in = std::move(ingress_.front());
-    ingress_.pop_front();
+  while (ingress_size_ > 0 && budget-- > 0) {
+    // The slot stays intact until the next admit, which cannot run
+    // during handle_packet.
+    IngressPacket& in = ingress_slots_[ingress_head_];
+    ingress_head_ = (ingress_head_ + 1) % (ingress_capacity_ + 1);
+    if (--ingress_size_ == 0) clear_ingress();
     handle_packet(in);
   }
 }
@@ -296,7 +306,7 @@ void SwdServer::handle_packet(IngressPacket& in) {
         ++telemetry_stamps;
       }
     }
-    emit(std::move(packet));
+    emit(packet);
     return;
   }
 
@@ -327,15 +337,16 @@ void SwdServer::handle_packet(IngressPacket& in) {
   if (step.forward.multicast) {
     const auto members = multicast_groups_.find(step.forward.multicast_group);
     if (members == multicast_groups_.end()) return;
+    // The packet is spent after this, so it is re-addressed in place and
+    // serialized once per member.
+    packet.netcl.to = 0;
     for (const std::uint16_t member : members->second) {
-      sim::Packet copy = packet;
-      copy.netcl.dst = member;
-      copy.netcl.to = 0;
-      send_to_host(member, copy);
+      packet.netcl.dst = member;
+      send_to_host(member, packet);
     }
     return;
   }
-  emit(std::move(packet));
+  emit(packet);
 }
 
 std::vector<std::uint8_t> SwdServer::handle_control(std::span<const std::uint8_t> frame) {
@@ -627,7 +638,7 @@ std::string SwdServer::metrics_exposition() {
   metrics_.gauge("flight.dropped_events")
       .set(static_cast<double>(recorder.dropped_events()));
   metrics_.gauge("flight.dumps_written").set(static_cast<double>(recorder.dumps_written()));
-  metrics_.gauge("ingress.queue_depth").set(static_cast<double>(ingress_.size()));
+  metrics_.gauge("ingress.queue_depth").set(static_cast<double>(ingress_size_));
   metrics_.gauge("ingress.queue_capacity").set(static_cast<double>(ingress_capacity_));
   // Profiler state (ISSUE 9): netcl_profile_* series.
   obs::Profiler& profiler = obs::Profiler::instance();
@@ -821,7 +832,7 @@ bool SwdServer::apply_fault_state() {
     multicast_groups_.clear();
     replay_cache_.clear();
     // A fresh process also starts with empty queues and full buckets.
-    ingress_.clear();
+    clear_ingress();
     tenant_buckets_.clear();
     unattributed_bucket_ = TokenBucket(tenant_rate_pps_, tenant_burst_);
     crashed_.store(false, std::memory_order_relaxed);
@@ -859,10 +870,10 @@ void SwdServer::poll_once(int timeout_ms) {
     for (const Connection& connection : metrics_connections_) ::close(connection.fd);
     metrics_connections_.clear();
   }
-  if (crashed && !ingress_.empty()) {
+  if (crashed && ingress_size_ > 0) {
     // Packets a dead process had admitted but not executed vanish with it.
-    packets_dropped_crashed.inc(static_cast<std::uint64_t>(ingress_.size()));
-    ingress_.clear();
+    packets_dropped_crashed.inc(static_cast<std::uint64_t>(ingress_size_));
+    clear_ingress();
   }
   if (idle_timeout_seconds_ > 0.0) {
     const double now_s = uptime_s();
@@ -919,7 +930,7 @@ void SwdServer::poll_once(int timeout_ms) {
   // With a backlog queued or datagrams held by the socket, don't sleep —
   // poll only collects what's already ready and the cycle goes straight on
   // to draining and executing.
-  const bool backlog = !ingress_.empty() || socket_.held() > 0;
+  const bool backlog = ingress_size_ > 0 || socket_.held() > 0;
   const int ready = ::poll(fds.data(), fds.size(), backlog ? 0 : timeout_ms);
   if (ready <= 0 && socket_.held() == 0) {
     process_ingress();

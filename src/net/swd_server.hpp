@@ -22,7 +22,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <map>
 #include <memory>
 #include <span>
@@ -212,7 +211,7 @@ class SwdServer {
   };
 
   /// A parsed-and-admitted data-plane packet waiting for an execution slot
-  /// (the bounded drop-oldest ingress queue, ISSUE 8).
+  /// (one slot of the bounded drop-oldest ingress queue).
   struct IngressPacket {
     sim::Packet packet;
     sockaddr_in from{};
@@ -226,9 +225,10 @@ class SwdServer {
     sim::TenantId tenant = 0;
   };
 
-  /// Parses + polices one datagram and queues it on ingress_ (drop-oldest
-  /// on overflow). Malformed input and policer sheds are counted and
-  /// flight-recorded here; nothing unvalidated crosses this line.
+  /// Parses + polices one datagram into the ingress ring's free tail slot
+  /// and queues it (drop-oldest on overflow). Malformed input and policer
+  /// sheds are counted and flight-recorded here and leave the slot free;
+  /// nothing unvalidated crosses this line.
   void admit_datagram(std::span<const std::uint8_t> bytes, const sockaddr_in& from,
                       std::uint32_t queue_depth);
   /// Runs the device step (SwitchDevice::process) over one admitted
@@ -240,7 +240,11 @@ class SwdServer {
   /// consumes from, and whether it may pass right now.
   bool police(sim::TenantId tenant, double now_s);
   void count_shed(sim::TenantId tenant, bool policer);
-  void emit(sim::Packet&& packet);
+  /// The slot the next admitted datagram parses into, created on first
+  /// use.
+  IngressPacket& ingress_tail();
+  void clear_ingress() { ingress_head_ = ingress_size_ = 0; }
+  void emit(const sim::Packet& packet);
   /// Serializes into the socket's egress queue; flush_egress() puts the
   /// whole cycle's output on the wire afterwards.
   void send_to_host(std::uint16_t host, const sim::Packet& packet);
@@ -293,7 +297,15 @@ class SwdServer {
   /// poll_once's descriptor set, rebuilt every cycle into reused storage.
   std::vector<pollfd> poll_fds_;
   // --- overload control state (ISSUE 8) -------------------------------------
-  std::deque<IngressPacket> ingress_;
+  /// The ingress queue as a ring of reusable slots: entry i is
+  /// ingress_slots_[(ingress_head_ + i) % (ingress_capacity_ + 1)]. One slot
+  /// beyond the capacity keeps the tail free, so a datagram parses straight
+  /// into it (reusing the slot's payload capacity) before the oldest entry
+  /// is shed. The ring restarts at slot 0 whenever it empties, so only
+  /// slots up to the peak queue depth are ever created or touched.
+  std::vector<IngressPacket> ingress_slots_;
+  std::size_t ingress_head_ = 0;
+  std::size_t ingress_size_ = 0;
   std::size_t ingress_capacity_ = 1024;
   std::size_t max_cycle_execute_ = 512;
   double tenant_rate_pps_ = 0.0;

@@ -75,6 +75,7 @@ const char* to_string(FlightKind kind) {
     case FlightKind::kSloRecovered: return "slo_recovered";
     case FlightKind::kProfileDump: return "profile_dump";
     case FlightKind::kRecvTruncated: return "recv_truncated";
+    case FlightKind::kRecvDropped: return "recv_dropped";
   }
   return "unknown";
 }

@@ -84,6 +84,7 @@ enum class FlightKind : std::uint16_t {
   kProfileDump = 34,   // a=samples captured so far, b=distinct stacks
   // net::DatagramSocket receive.
   kRecvTruncated = 35,  // a=message bytes received, b=msg_flags (MSG_TRUNC/MSG_CTRUNC)
+  kRecvDropped = 36,    // a=datagrams the kernel newly dropped, b=its running drop count
 };
 
 /// Stable snake_case name for JSONL/trace output ("device_down", ...).

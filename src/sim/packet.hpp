@@ -52,12 +52,21 @@ struct Packet {
 };
 
 /// Serializes argument values per the kernel specification (little-endian,
-/// natural widths, arguments in order). Values are truncated to their
-/// argument width.
+/// natural widths, arguments in order) into `out`, replacing its contents
+/// and keeping its capacity. Values are truncated to their argument width;
+/// missing ones encode as 0.
+void encode_args_into(const KernelSpec& spec, const ArgValues& values,
+                      std::vector<std::uint8_t>& out);
+/// encode_args_into a fresh buffer.
 [[nodiscard]] std::vector<std::uint8_t> encode_args(const KernelSpec& spec,
                                                     const ArgValues& values);
 
-/// Deserializes; returns zero-filled values when the buffer is short.
+/// Deserializes into `values`, shaping it like make_args(spec) first (no
+/// allocation when it already has that shape); bytes past the end of a
+/// short buffer read as 0.
+void decode_args_into(const KernelSpec& spec, std::span<const std::uint8_t> data,
+                      ArgValues& values);
+/// decode_args_into fresh values.
 [[nodiscard]] ArgValues decode_args(const KernelSpec& spec, std::span<const std::uint8_t> data);
 
 /// Zero-initialized argument values matching a specification.

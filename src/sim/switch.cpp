@@ -32,16 +32,18 @@ void SwitchDevice::install(Tenant& tenant, ProgramArtifact artifact) {
   tenant.register_access.assign(tenant.module->globals().size(), RegisterAccess{});
   tenant.programs.clear();
   tenant.programs.reserve(tenant.kernels.size());
+  tenant.args.clear();
   for (const p4::KernelProgram& kernel : tenant.kernels) {
     tenant.programs.emplace_back(kernel, *tenant.module);
     tenant.programs.back().bind(*tenant.registers, *tenant.tables);
+    tenant.args.push_back(make_args(kernel.fn->spec));
   }
 }
 
 void SwitchDevice::attach(TenantId id, Tenant& tenant) {
   for (std::size_t i = 0; i < tenant.kernels.size(); ++i) {
-    by_computation_[tenant.kernels[i].fn->computation()] = {id, &tenant, &tenant.kernels[i],
-                                                            &tenant.programs[i]};
+    by_computation_[tenant.kernels[i].fn->computation()] = {
+        id, &tenant, &tenant.kernels[i], &tenant.programs[i], &tenant.args[i]};
   }
 }
 
@@ -222,7 +224,10 @@ ComputeOutcome SwitchDevice::execute(int computation, ArgValues& args,
     ++stats.no_kernel;
     return {};  // no kernel here: no-op (§IV)
   }
-  const Route& route = it->second;
+  return run(it->second, args, header);
+}
+
+ComputeOutcome SwitchDevice::run(const Route& route, ArgValues& args, const NetclHeader& header) {
   Tenant& tenant = *route.tenant;
   ++stats.kernels_executed;
   ++tenant.stats.packets_processed;
@@ -242,10 +247,14 @@ ComputeOutcome SwitchDevice::execute(int computation, ArgValues& args,
 
 StepOutcome SwitchDevice::process(Packet& packet) {
   ComputeOutcome outcome;
-  if (const KernelSpec* spec = spec_for(packet.netcl.comp)) {
-    ArgValues args = decode_args(*spec, packet.payload);
-    outcome = execute(packet.netcl.comp, args, packet.netcl);
-    packet.payload = encode_args(*spec, args);
+  const auto it = by_computation_.find(packet.netcl.comp);
+  if (it != by_computation_.end()) {
+    const Route& route = it->second;
+    const KernelSpec& spec = route.kernel->fn->spec;
+    ++stats.packets_processed;
+    decode_args_into(spec, packet.payload, *route.args);
+    outcome = run(route, *route.args, packet.netcl);
+    encode_args_into(spec, *route.args, packet.payload);
     packet.netcl.len = static_cast<std::uint16_t>(packet.payload.size());
   } else {
     // Addressed here, but no resident kernel serves this computation id —

@@ -162,9 +162,11 @@ class SwitchDevice {
 
   /// The device step for a NetCL packet addressed to this device
   /// (netcl.to == device_id()), shared by sim::Fabric, netcl-swd and the
-  /// host fallback: decode the arguments, execute, re-encode them and set
-  /// netcl.len, then apply the Table II action to the header (§VI-C) and
-  /// count drops and multicasts. A computation with no resident kernel
+  /// host fallback: decode the arguments, execute, re-encode them into
+  /// packet.payload in place and set netcl.len, then apply the Table II
+  /// action to the header (§VI-C) and count drops and multicasts. Makes no
+  /// heap allocation once the payload's capacity holds the encoded
+  /// arguments. A computation with no resident kernel
   /// passes through (§IV), counted as no_kernel. Callers keep what differs
   /// between them: the INT clock, SLOs, multicast fan-out.
   StepOutcome process(Packet& packet);
@@ -218,6 +220,9 @@ class SwitchDevice {
     std::vector<p4::StageUsage> per_stage;
     /// kernels[i] lowered, bound to `registers` and `tables`.
     std::vector<ExecProgram> programs;
+    /// kernels[i]'s argument values, shaped once at install: process()
+    /// decodes each packet into them, so the step allocates nothing.
+    std::vector<ArgValues> args;
     std::unique_ptr<RegisterFile> registers;
     std::unique_ptr<TableSet> tables;
     DeviceStats stats;
@@ -235,6 +240,7 @@ class SwitchDevice {
     Tenant* tenant = nullptr;
     const p4::KernelProgram* kernel = nullptr;
     ExecProgram* program = nullptr;
+    ArgValues* args = nullptr;
   };
 
   struct Resolved {
@@ -254,6 +260,8 @@ class SwitchDevice {
   void attach(TenantId id, Tenant& tenant);
   void detach(TenantId id, Tenant& tenant);
   void refresh_stages();
+  /// execute() once the route is known.
+  ComputeOutcome run(const Route& route, ArgValues& args, const NetclHeader& header);
 
   std::uint16_t device_id_;
   // std::map: node-based, so Tenant* in by_computation_ stays valid across

@@ -352,6 +352,101 @@ TEST(GroReceive, CappedReceiveHoldsTheRestWithoutASyscall) {
   EXPECT_EQ(received, sent);
 }
 
+// --- egress grouped by destination --------------------------------------------
+
+/// Receives until `count` datagrams arrived or the socket stays quiet.
+std::vector<Bytes> receive_all(DatagramSocket& socket, std::size_t count) {
+  std::vector<Bytes> received;
+  while (received.size() < count && wait_readable(socket.fd())) {
+    for (const DatagramSocket::Datagram& datagram : socket.receive()) {
+      received.emplace_back(datagram.bytes.begin(), datagram.bytes.end());
+    }
+  }
+  return received;
+}
+
+TEST(DatagramSocket, FlushGroupsInterleavedDestinationsIntoGsoRuns) {
+  obs::MetricsRegistry rx_metrics("egress_group_rx");
+  DatagramSocket rx_a(rx_metrics, 0);
+  DatagramSocket rx_b(rx_metrics, 0);
+  ASSERT_TRUE(rx_a.valid() && rx_b.valid());
+  const sockaddr_in to_a = testutil::SegmentedSender::loopback(rx_a.local_port());
+  const sockaddr_in to_b = testutil::SegmentedSender::loopback(rx_b.local_port());
+
+  struct Case {
+    const char* name;
+    std::size_t odd_position;  // A's datagram that is 5 bytes longer (none if past the end)
+  };
+  constexpr std::size_t kPerDestination = 8;
+  for (const Case& c : {Case{"equal sizes", kPerDestination}, Case{"odd size inside A", 3}}) {
+    SCOPED_TRACE(c.name);
+    obs::MetricsRegistry metrics("egress_group_tx");
+    DatagramSocket tx(metrics, 0);
+    ASSERT_TRUE(tx.valid()) << tx.error();
+    // A, B, A, B, ...: no two neighbours share a destination.
+    const std::vector<Bytes> to_a_bytes = numbered_run(kPerDestination, 40, 0);
+    std::vector<Bytes> to_b_bytes = numbered_run(kPerDestination, 40, 0);
+    std::vector<Bytes> sent_a;
+    for (std::size_t i = 0; i < kPerDestination; ++i) {
+      Bytes datagram_a = to_a_bytes[i];
+      if (i == c.odd_position) datagram_a.resize(datagram_a.size() + 5, 0x55);
+      for (std::uint8_t& byte : to_b_bytes[i]) byte ^= 0xFF;  // B's bytes differ from A's
+      tx.queue(to_a) = datagram_a;
+      tx.queue(to_b) = to_b_bytes[i];
+      sent_a.push_back(std::move(datagram_a));
+    }
+    EXPECT_EQ(tx.flush(), 2 * kPerDestination);
+    // Each receiver gets its own datagrams in queue order.
+    EXPECT_EQ(receive_all(rx_a, sent_a.size()), sent_a);
+    EXPECT_EQ(receive_all(rx_b, to_b_bytes.size()), to_b_bytes);
+    EXPECT_EQ(metrics.counter("send_errors").value(), 0u);
+    if (gso_compiled_in() && c.odd_position >= kPerDestination) {
+      // One super-datagram, and so one syscall, per destination.
+      EXPECT_EQ(metrics.counter("gso_batches").value(), 2u);
+      EXPECT_EQ(metrics.counter("send_syscalls").value(), 2u);
+    }
+  }
+}
+
+TEST(DatagramSocket, KernelReceiveDropsAreCounted) {
+  obs::MetricsRegistry metrics("recv_dropped_test");
+  DatagramSocket socket(metrics, 0);
+  ASSERT_TRUE(socket.valid()) << socket.error();
+  EXPECT_GT(metrics.gauge("socket.rcvbuf_bytes").value(), 0.0);
+  // Shrink the buffer (the kernel's floor is a few KiB) so a small flood
+  // overflows it.
+  const int tiny = 1;
+  ASSERT_EQ(::setsockopt(socket.fd(), SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny)), 0);
+  testutil::SegmentedSender sender;
+  const sockaddr_in to = testutil::SegmentedSender::loopback(socket.local_port());
+  const Bytes datagram(64, 0x42);
+  auto send_one = [&] {
+    ::sendto(sender.fd(), datagram.data(), datagram.size(), 0,
+             reinterpret_cast<const sockaddr*>(&to), sizeof(to));
+  };
+  constexpr std::size_t kFlood = 200;
+  for (std::size_t i = 0; i < kFlood; ++i) send_one();
+  std::size_t received = 0;
+  while (wait_readable(socket.fd())) {
+    received += socket.receive().size();
+    if (socket.drained()) break;
+  }
+  // The kernel reports a drop on the next datagram it queues after it, so
+  // one more datagram carries the flood's count.
+  send_one();
+  ASSERT_TRUE(wait_readable(socket.fd()));
+  received += socket.receive().size();
+  const std::size_t sent = kFlood + 1;
+  ASSERT_LT(received, sent) << "the flood did not overflow the receive buffer";
+  // Only the portable recvfrom path leaves the drops uncounted.
+  if (gso_compiled_in()) {
+    EXPECT_TRUE(socket.drops_counted());
+  }
+  if (socket.drops_counted()) {
+    EXPECT_EQ(metrics.counter("recv_dropped").value(), sent - received);
+  }
+}
+
 // --- SimTransport / HostRuntime batch equivalence -----------------------------
 
 driver::CompileResult compile_calc() {

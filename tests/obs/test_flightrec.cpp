@@ -24,6 +24,7 @@
 #include "runtime/failure.hpp"
 #include "runtime/host.hpp"
 #include "runtime/retransmit.hpp"
+#include "scoped_flight_dir.hpp"
 #include "sim/fabric.hpp"
 
 namespace netcl {
@@ -191,7 +192,7 @@ TEST(FlightRecorder, WireBytesIdenticalWithRecorderOnAndOff) {
 // --- anomaly trails -----------------------------------------------------------
 
 TEST(FlightRecorder, PartitionLeavesOrderedHeartbeatTrail) {
-  ::setenv("NETCL_FLIGHT_DIR", ".", 1);
+  const testutil::ScopedFlightDir flight_dir;
   FlightRecorder& recorder = FlightRecorder::instance();
   recorder.set_enabled(true);
   const std::uint64_t misses_before =
@@ -249,7 +250,7 @@ TEST(FlightRecorder, PartitionLeavesOrderedHeartbeatTrail) {
 }
 
 TEST(FlightRecorder, RetryExhaustionLeavesRetransmitTrail) {
-  ::setenv("NETCL_FLIGHT_DIR", ".", 1);
+  const testutil::ScopedFlightDir flight_dir;
   FlightRecorder& recorder = FlightRecorder::instance();
   recorder.set_enabled(true);
   const std::uint64_t retx_before =

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <chrono>
 #include <fstream>
@@ -20,6 +19,7 @@
 #include "net/control.hpp"
 #include "net/swd_server.hpp"
 #include "obs/profiler.hpp"
+#include "scoped_flight_dir.hpp"
 
 namespace netcl {
 
@@ -120,7 +120,7 @@ TEST(Profiler, StoppedProfilerCapturesNothing) {
 }
 
 TEST(Profiler, TriggerProfileDumpWritesFoldedFile) {
-  ::setenv("NETCL_FLIGHT_DIR", ".", 1);
+  const testutil::ScopedFlightDir flight_dir;
   Profiler& profiler = Profiler::instance();
   // Make sure the cumulative profile is non-empty even if this test runs
   // first in the binary.
@@ -140,7 +140,6 @@ TEST(Profiler, TriggerProfileDumpWritesFoldedFile) {
   text << file.rdbuf();
   EXPECT_FALSE(text.str().empty());
   ASSERT_NO_FATAL_FAILURE(check_folded_grammar(text.str()));
-  std::remove(path.c_str());
 }
 
 TEST(Profiler, Sigusr1LatchIsConsumedExactlyOnce) {
@@ -184,7 +183,7 @@ driver::CompileResult compile_calc() {
 }
 
 TEST(ProfileDump, ControlOpOverTcpReturnsTextAndWritesFile) {
-  ::setenv("NETCL_FLIGHT_DIR", ".", 1);
+  const testutil::ScopedFlightDir flight_dir;
   net::SwdOptions options;
   options.profile_hz = 997;  // the server ctor starts the profiler
   net::SwdServer server(driver::make_device(compile_calc(), 1), options);
@@ -219,7 +218,6 @@ TEST(ProfileDump, ControlOpOverTcpReturnsTextAndWritesFile) {
   std::ostringstream text;
   text << file.rdbuf();
   EXPECT_FALSE(text.str().empty());
-  std::remove(result.path.c_str());
 }
 
 TEST(ProfileDump, ControlOpWithoutFlagsReportsStateOnly) {

@@ -5,7 +5,6 @@
 // the daemon installs.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -15,6 +14,7 @@
 #include "obs/flightrec.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/slo.hpp"
+#include "scoped_flight_dir.hpp"
 
 namespace netcl::obs {
 namespace {
@@ -263,7 +263,7 @@ TEST(SloEngine, ScrapeDuringConcurrentUpdateStaysWellFormed) {
 }
 
 TEST(SloEngine, FloodedTenantFlipsBurnRateAndTriggersOnePostmortem) {
-  ::setenv("NETCL_FLIGHT_DIR", ".", 1);
+  const testutil::ScopedFlightDir flight_dir;
   FlightRecorder& recorder = FlightRecorder::instance();
   recorder.set_enabled(true);
   const std::uint64_t dumps_before = recorder.dumps_written() + recorder.dumps_suppressed();
@@ -275,12 +275,10 @@ TEST(SloEngine, FloodedTenantFlipsBurnRateAndTriggersOnePostmortem) {
   objective.availability_target = 0.999;
   engine.set_objective(9, objective);
   int callbacks = 0;
-  std::string dump_base;
   engine.set_fast_burn_callback([&](std::uint32_t tenant, double burn) {
     ++callbacks;
     flight(FlightKind::kSloFastBurn, tenant, static_cast<std::uint64_t>(burn * 100.0));
-    const std::string base = recorder.trigger_dump("slo_fast_burn");
-    if (!base.empty()) dump_base = base;
+    (void)recorder.trigger_dump("slo_fast_burn");
   });
 
   // Two minutes of flood, ticked at the daemon's cadence.
@@ -319,10 +317,6 @@ TEST(SloEngine, FloodedTenantFlipsBurnRateAndTriggersOnePostmortem) {
     }
   }
   EXPECT_EQ(breadcrumbs, 1u);
-  if (!dump_base.empty()) {
-    std::remove((dump_base + ".jsonl").c_str());
-    std::remove((dump_base + ".trace.json").c_str());
-  }
 }
 
 }  // namespace
