@@ -37,6 +37,11 @@ class Transport {
   /// routes on it; the UDP transport hands it to the attached device
   /// daemon). The span's elements are consumed: implementations may move
   /// from them, so callers must treat them as moved-from afterwards.
+  ///
+  /// A send made inside a dispatch (a receive or timer callback) may be
+  /// held until that dispatch returns, so that one burst's sends leave
+  /// together; it leaves no later than that, and before the transport
+  /// next waits for input. Wire order is send order either way.
   virtual void send_batch(std::span<sim::Packet> packets) = 0;
 
   /// Single-packet convenience: a one-element batch.

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <utility>
 
 #include "net/wire.hpp"
 #include "obs/flightrec.hpp"
@@ -44,12 +46,20 @@ void UdpTransport::send_batch(std::span<sim::Packet> packets) {
     return;
   }
   for (const sim::Packet& packet : packets) serialize_packet(packet, socket_.queue(peer_));
+  queued_ += packets.size();
+  if (dispatch_depth_ == 0) flush_queued();
+}
+
+void UdpTransport::flush_queued() {
+  if (queued_ == 0) return;
+  const std::size_t queued = std::exchange(queued_, 0);
   const std::size_t sent = socket_.flush();
-  obs::flight(obs::FlightKind::kBatchSend, packets.size(), sent);
+  obs::flight(obs::FlightKind::kBatchSend, queued, sent);
 }
 
 void UdpTransport::schedule(double delay_ns, std::function<void()> callback) {
-  timers_.push({now_ns() + std::max(delay_ns, 0.0), timer_sequence_++, std::move(callback)});
+  timers_.push_back({now_ns() + std::max(delay_ns, 0.0), timer_sequence_++, std::move(callback)});
+  std::push_heap(timers_.begin(), timers_.end(), std::greater<>());
 }
 
 double UdpTransport::now_ns() const {
@@ -58,10 +68,13 @@ double UdpTransport::now_ns() const {
 }
 
 void UdpTransport::fire_due_timers() {
-  while (!timers_.empty() && timers_.top().due_ns <= now_ns()) {
-    // Copy out before pop: the callback may schedule new timers.
-    auto callback = timers_.top().callback;
-    timers_.pop();
+  if (timers_.empty() || timers_.front().due_ns > now_ns()) return;
+  const DispatchScope dispatch(*this);
+  while (!timers_.empty() && timers_.front().due_ns <= now_ns()) {
+    // Move out before the call: the callback may schedule new timers.
+    std::pop_heap(timers_.begin(), timers_.end(), std::greater<>());
+    std::function<void()> callback = std::move(timers_.back().callback);
+    timers_.pop_back();
     ++timers_fired;
     callback();
   }
@@ -86,7 +99,10 @@ void UdpTransport::drain_socket() {
       ++good;
     }
     if (!burst.empty()) obs::flight(obs::FlightKind::kBatchRecv, good, burst.size());
-    if (good > 0) deliver({rx_batch_.data(), good});
+    if (good > 0) {
+      const DispatchScope dispatch(*this);
+      deliver({rx_batch_.data(), good});
+    }
     // Fewer messages than a full batch means the queue is (almost
     // certainly) empty; anything racing in after the syscall is picked up
     // on the next poll turn.
@@ -104,10 +120,13 @@ void UdpTransport::poll_once(int timeout_ms) {
   if (!timers_.empty()) {
     // Clamp in double before the int cast: a far-future timer would make
     // the bare cast overflow (UB).
-    const double until_timer_ms = (timers_.top().due_ns - now_ns()) / 1e6;
+    const double until_timer_ms = (timers_.front().due_ns - now_ns()) / 1e6;
     wait_ms = static_cast<int>(
         std::clamp(until_timer_ms + 1.0, 0.0, static_cast<double>(timeout_ms)));
   }
+  // A callback that sent and then run_until() the answer is waiting on its
+  // own queued packets: they must leave before this turn sleeps.
+  flush_queued();
   pollfd pfd{socket_.fd(), POLLIN, 0};
   if (::poll(&pfd, 1, wait_ms) > 0 && (pfd.revents & POLLIN) != 0) drain_socket();
   fire_due_timers();

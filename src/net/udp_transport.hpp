@@ -7,10 +7,19 @@
 // calling thread.
 //
 // The syscalls are net::DatagramSocket's, shared with the device daemon.
-// send_batch serializes into the socket's egress queue and flushes it; each
-// poll turn decodes the socket's receive bursts (a GSO burst from the
-// daemon arrives as one coalesced message, split back by the socket) into
-// reused packets and hands each burst whole to the batch receiver.
+// send_batch serializes into the socket's egress queue; each poll turn
+// decodes the socket's receive bursts (a GSO burst from the daemon arrives
+// as one coalesced message, split back by the socket) into reused packets
+// and hands each burst whole to the batch receiver.
+//
+// When the queue is flushed depends on where the send is made. Outside a
+// dispatch, send_batch flushes before it returns. Inside one (a receive
+// callback handling a burst, or a timer callback), it only queues: the
+// queue is flushed once when the burst's delivery returns, once after the
+// timer sweep, and in any case before poll_once next waits in poll(2), so
+// a callback may send and then run_until() the answer. A worker that
+// answers each packet of a burst thus sends the answers in one syscall
+// (one GSO super-datagram when they are equal-sized), in send order.
 //
 // Metrics live in an obs registry (default name "udp"), so obs::dump()
 // shows the real-network path next to the fabric's counters.
@@ -19,8 +28,8 @@
 #include <netinet/in.h>
 
 #include <chrono>
-#include <queue>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "net/datagram_socket.hpp"
@@ -68,6 +77,9 @@ class UdpTransport final : public Transport {
 
   // --- Transport ------------------------------------------------------------
   [[nodiscard]] const char* kind() const override { return "udp"; }
+  /// Flushes at once outside a dispatch; inside one (a receive or timer
+  /// callback) the packets leave when the dispatch returns, or before the
+  /// next wait in poll(2), whichever comes first.
   void send_batch(std::span<sim::Packet> packets) override;
   void schedule(double delay_ns, std::function<void()> callback) override;
   /// Wall-clock ns since this transport was constructed.
@@ -113,8 +125,27 @@ class UdpTransport final : public Transport {
     }
   };
 
+  /// Marks the receive or timer callbacks it encloses as a dispatch: their
+  /// sends are queued, and the outermost scope flushes them on exit.
+  class DispatchScope {
+   public:
+    explicit DispatchScope(UdpTransport& transport) : transport_(transport) {
+      ++transport_.dispatch_depth_;
+    }
+    ~DispatchScope() {
+      if (--transport_.dispatch_depth_ == 0) transport_.flush_queued();
+    }
+    DispatchScope(const DispatchScope&) = delete;
+    DispatchScope& operator=(const DispatchScope&) = delete;
+
+   private:
+    UdpTransport& transport_;
+  };
+
   void fire_due_timers();
   void drain_socket();
+  /// Sends whatever send_batch queued since the last flush.
+  void flush_queued();
 
   DatagramSocket socket_;
   std::string error_;
@@ -123,8 +154,15 @@ class UdpTransport final : public Transport {
   /// Decoded packets of one receive burst, reused every burst; as long as
   /// the largest burst seen (batch() messages, more datagrams with GRO).
   std::vector<sim::Packet> rx_batch_;
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
+  /// Min-heap on (due_ns, sequence) under std::push_heap / std::pop_heap,
+  /// so a firing timer's callback is moved out, not copied.
+  std::vector<Timer> timers_;
   std::uint64_t timer_sequence_ = 0;
+  /// Nesting of receive and timer dispatch (a callback may run_until()).
+  int dispatch_depth_ = 0;
+  /// Packets send_batch serialized into the egress queue since the last
+  /// flush.
+  std::size_t queued_ = 0;
   std::chrono::steady_clock::time_point epoch_;
 };
 

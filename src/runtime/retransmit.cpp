@@ -1,17 +1,27 @@
 #include "runtime/retransmit.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 
 #include "obs/flightrec.hpp"
 
 namespace netcl::runtime {
 
+namespace {
+
+/// timer_due_ of a slot with no live timer: every deadline is earlier.
+constexpr double kNoTimer = std::numeric_limits<double>::infinity();
+
+}  // namespace
+
 RetransmitWindow::RetransmitWindow(net::Transport& transport, const Config& config,
                                    SendFn send)
     : transport_(transport), config_(config), send_(std::move(send)) {
   stride_ = std::max(1, std::min(config_.window, config_.chunks));
   slot_chunk_.assign(static_cast<std::size_t>(stride_), -1);
+  deadline_.assign(static_cast<std::size_t>(stride_), 0.0);
+  timer_due_.assign(static_cast<std::size_t>(stride_), kNoTimer);
   done_.assign(static_cast<std::size_t>(std::max(config_.chunks, 0)), false);
   retries_.assign(static_cast<std::size_t>(std::max(config_.chunks, 0)), 0);
 }
@@ -25,16 +35,16 @@ void RetransmitWindow::start() {
     return;
   }
   // Batched emission: mark the whole window in flight, hand every chunk to
-  // the owner in one call (slot c holds chunk c at start), then arm the
-  // retry timers. Sends stay ahead of timer arming, matching the per-chunk
-  // path's send-then-schedule order.
+  // the owner in one call (slot c holds chunk c at start), then set the
+  // retry deadlines. Sends stay ahead of timer arming, matching the
+  // per-chunk path's send-then-schedule order.
   std::vector<int> chunks(static_cast<std::size_t>(initial));
   for (int chunk = 0; chunk < initial; ++chunk) {
     slot_chunk_[static_cast<std::size_t>(chunk % stride_)] = chunk;
     chunks[static_cast<std::size_t>(chunk)] = chunk;
   }
   batch_start_(chunks);
-  for (int chunk = 0; chunk < initial; ++chunk) arm_timer(chunk);
+  for (int chunk = 0; chunk < initial; ++chunk) set_deadline(chunk);
 }
 
 int RetransmitWindow::chunk_for_slot(int slot) const {
@@ -95,21 +105,44 @@ void RetransmitWindow::launch(int chunk, bool is_retransmission) {
                 static_cast<std::uint64_t>(retries_[static_cast<std::size_t>(chunk)]));
   }
   send_(chunk, chunk % stride_, is_retransmission);
-  arm_timer(chunk);
+  set_deadline(chunk);
 }
 
-void RetransmitWindow::arm_timer(int chunk) {
-  transport_.schedule(retry_delay_ns(retries_[static_cast<std::size_t>(chunk)]),
-                      [this, chunk, alive = std::weak_ptr<int>(alive_)] {
+void RetransmitWindow::set_deadline(int chunk) {
+  const auto slot = static_cast<std::size_t>(chunk % stride_);
+  const double deadline =
+      transport_.now_ns() + retry_delay_ns(retries_[static_cast<std::size_t>(chunk)]);
+  deadline_[slot] = deadline;
+  // A live timer due no later will find the deadline and re-arm for it.
+  if (deadline < timer_due_[slot]) arm_timer(static_cast<int>(slot), deadline);
+}
+
+void RetransmitWindow::arm_timer(int slot, double due_ns) {
+  timer_due_[static_cast<std::size_t>(slot)] = due_ns;
+  transport_.schedule(due_ns - transport_.now_ns(),
+                      [this, slot, due_ns, alive = std::weak_ptr<int>(alive_)] {
                         if (alive.expired()) return;  // window destroyed first
-                        if (failed_ || is_done(chunk)) return;
-                        if (config_.max_retries > 0 &&
-                            retries_[static_cast<std::size_t>(chunk)] >= config_.max_retries) {
-                          give_up(chunk);
-                          return;
-                        }
-                        launch(chunk, /*is_retransmission=*/true);
+                        on_timer(slot, due_ns);
                       });
+}
+
+void RetransmitWindow::on_timer(int slot, double due_ns) {
+  const auto index = static_cast<std::size_t>(slot);
+  if (due_ns != timer_due_[index]) return;  // superseded by an earlier deadline
+  timer_due_[index] = kNoTimer;
+  const int chunk = slot_chunk_[index];
+  if (failed_ || chunk < 0 || is_done(chunk)) return;  // nothing left to guard
+  if (transport_.now_ns() < deadline_[index]) {
+    // The slot moved on to a later chunk since this timer was armed.
+    arm_timer(slot, deadline_[index]);
+    return;
+  }
+  if (config_.max_retries > 0 &&
+      retries_[static_cast<std::size_t>(chunk)] >= config_.max_retries) {
+    give_up(chunk);
+    return;
+  }
+  launch(chunk, /*is_retransmission=*/true);
 }
 
 }  // namespace netcl::runtime

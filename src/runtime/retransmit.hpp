@@ -5,10 +5,18 @@
 // slots: chunk c occupies slot c % stride, chunks c and c + stride share a
 // slot with alternating versions (the alternating-bit rule — the version
 // bit is (c / stride) & 1, available to the send callback via version()).
-// Every send arms a one-shot retransmission timer on the transport's
-// clock; an unacknowledged chunk is re-sent when it fires. Acknowledging a
-// slot retires its chunk and immediately launches the next chunk chained
-// on that slot.
+// Every send sets its slot's retransmission deadline on the transport's
+// clock; an unacknowledged chunk is re-sent when its deadline passes.
+// Acknowledging a slot retires its chunk and immediately launches the next
+// chunk chained on that slot.
+//
+// A slot keeps at most one live one-shot timer, not one per send, so the
+// transport's timer heap holds about stride() entries however fast chunks
+// complete. A timer that fires before its slot's deadline (the slot moved
+// on to a later chunk meanwhile) re-arms for that deadline. A deadline
+// earlier than the live timer's due time (a chunk sent after a backed-off
+// one was acknowledged) arms a fresh timer; the one it supersedes is
+// recognised by its due stamp when it fires, and ignored.
 //
 // The window does not touch packets itself — the owner's SendFn builds and
 // sends the actual message — so it works for AGG contributions today and
@@ -65,8 +73,8 @@ class RetransmitWindow {
   /// Batched window emission (ISSUE 5): when set, start() marks the whole
   /// initial window in flight and hands every chunk to this callback in
   /// one call — the owner typically packs them into a single
-  /// HostRuntime::send_batch / Transport::send_batch — then arms the
-  /// per-chunk retry timers. Retransmissions and the chunks chained by
+  /// HostRuntime::send_batch / Transport::send_batch — then sets each
+  /// chunk's retry deadline. Retransmissions and the chunks chained by
   /// acknowledge_slot() still go through the per-chunk SendFn.
   using BatchStartFn = std::function<void(std::span<const int> chunks)>;
   void set_batch_start(BatchStartFn fn) { batch_start_ = std::move(fn); }
@@ -103,8 +111,13 @@ class RetransmitWindow {
 
  private:
   void launch(int chunk, bool is_retransmission);
-  /// Arms the retransmission timer for a chunk just (re)sent.
-  void arm_timer(int chunk);
+  /// Sets the retransmission deadline of a chunk just (re)sent, arming a
+  /// timer for its slot unless one already fires no later.
+  void set_deadline(int chunk);
+  /// Schedules the slot's live timer, due at `due_ns`.
+  void arm_timer(int slot, double due_ns);
+  /// The slot's timer due at `due_ns` fired.
+  void on_timer(int slot, double due_ns);
   void give_up(int chunk);
 
   net::Transport& transport_;
@@ -115,6 +128,10 @@ class RetransmitWindow {
   std::shared_ptr<int> alive_ = std::make_shared<int>(0);
   int stride_ = 1;
   std::vector<int> slot_chunk_;  // slot -> in-flight chunk (-1 none)
+  /// Per slot: when its in-flight chunk is due for retransmission, and the
+  /// due stamp of its live timer (+infinity when none is pending).
+  std::vector<double> deadline_;
+  std::vector<double> timer_due_;
   std::vector<bool> done_;       // per chunk
   std::vector<int> retries_;     // per chunk: retransmissions so far
   int completed_ = 0;

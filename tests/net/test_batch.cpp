@@ -16,6 +16,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -220,6 +221,139 @@ TEST(BatchUdp, ReceiverGetsWholeBurstsInArrivalOrder) {
   // The drain hands bursts, not single packets, to the batch receiver.
   EXPECT_LE(deliveries, kCount);
   EXPECT_EQ(rx.packets_received.value(), kCount);
+}
+
+// --- deferred flush inside a dispatch -----------------------------------------
+
+TEST(DeferredFlush, RepliesToABurstLeaveInOneFlush) {
+  // A worker answers every packet of a received burst from inside its
+  // batch receiver. The answers are only queued there, and leave in one
+  // flush when the burst's delivery returns: in send order, byte for byte
+  // what per-packet sends put on the wire.
+  constexpr std::uint8_t kCount = 16;
+  RawSink sink;
+  UdpTransport::Options worker_options;
+  worker_options.peer_port = sink.port();
+  UdpTransport worker(worker_options);
+  ASSERT_TRUE(worker.valid()) << worker.error();
+  UdpTransport::Options peer_options;
+  peer_options.peer_port = worker.local_port();
+  UdpTransport peer(peer_options);
+  ASSERT_TRUE(peer.valid()) << peer.error();
+
+  std::size_t bursts = 0;
+  std::size_t answered = 0;
+  bool sent_inside_burst = false;
+  worker.set_batch_receiver([&](std::span<const sim::Packet> burst) {
+    ++bursts;
+    const std::uint64_t syscalls = worker.send_syscalls.value();
+    for (const sim::Packet& packet : burst) {
+      worker.send(numbered_packet(static_cast<std::uint8_t>(packet.payload.at(0) + 100)));
+      ++answered;
+    }
+    sent_inside_burst |= worker.send_syscalls.value() != syscalls;
+  });
+
+  std::vector<sim::Packet> burst;
+  std::vector<std::vector<std::uint8_t>> golden;
+  for (std::uint8_t seq = 0; seq < kCount; ++seq) {
+    burst.push_back(numbered_packet(seq));
+    golden.push_back(serialize_packet(numbered_packet(static_cast<std::uint8_t>(seq + 100))));
+  }
+  peer.send_batch(burst);
+  // Loopback queues the whole burst on the worker's socket within the send
+  // syscall; the worker drains it in one receive burst.
+  ASSERT_TRUE(worker.run_until([&] { return answered >= kCount; }, 2e9));
+
+  EXPECT_FALSE(sent_inside_burst);
+  EXPECT_EQ(bursts, 1u);
+  EXPECT_EQ(worker.packets_sent.value(), kCount);
+  if (gso_compiled_in()) {
+    EXPECT_EQ(worker.send_syscalls.value(), 1u);
+    EXPECT_EQ(worker.gso_batches.value(), 1u);
+  } else {
+    EXPECT_EQ(worker.send_syscalls.value(), kCount);  // one sendto each
+  }
+  EXPECT_EQ(sink.read(kCount), golden);
+}
+
+TEST(DeferredFlush, TimerSendsLeaveAfterTheSweep) {
+  RawSink sink;
+  UdpTransport::Options options;
+  options.peer_port = sink.port();
+  UdpTransport tx(options);
+  ASSERT_TRUE(tx.valid()) << tx.error();
+
+  std::uint64_t syscalls_in_sweep = 0;
+  tx.schedule(0.0, [&] { tx.send(numbered_packet(0)); });
+  tx.schedule(0.0, [&] {
+    tx.send(numbered_packet(1));
+    syscalls_in_sweep = tx.send_syscalls.value();
+  });
+  tx.poll_once(0);
+
+  EXPECT_EQ(tx.timers_fired.value(), 2u);
+  EXPECT_EQ(syscalls_in_sweep, 0u);
+  EXPECT_EQ(tx.packets_sent.value(), 2u);
+  if (gso_compiled_in()) {
+    EXPECT_EQ(tx.send_syscalls.value(), 1u);
+  }
+  EXPECT_EQ(sink.read(2), (std::vector<std::vector<std::uint8_t>>{
+                              serialize_packet(numbered_packet(0)),
+                              serialize_packet(numbered_packet(1))}));
+}
+
+TEST(DeferredFlush, SendOutsideADispatchLeavesAtOnce) {
+  RawSink sink;
+  UdpTransport::Options options;
+  options.peer_port = sink.port();
+  UdpTransport tx(options);
+  ASSERT_TRUE(tx.valid()) << tx.error();
+
+  tx.send(numbered_packet(0));
+  EXPECT_EQ(tx.send_syscalls.value(), 1u);
+  EXPECT_EQ(tx.packets_sent.value(), 1u);
+  std::vector<sim::Packet> batch = {numbered_packet(1), numbered_packet(2)};
+  tx.send_batch(batch);
+  EXPECT_GE(tx.send_syscalls.value(), 2u);
+  EXPECT_EQ(tx.packets_sent.value(), 3u);
+  EXPECT_EQ(sink.read(3).size(), 3u);
+}
+
+TEST(DeferredFlush, CallbackThatWaitsForItsEchoCompletes) {
+  // Inside a receive callback, `a` sends a ping and waits for the echo
+  // with run_until. The ping is queued, not sent; poll_once must flush it
+  // before it waits, or the echo never comes.
+  UdpTransport a;
+  UdpTransport b;
+  ASSERT_TRUE(a.valid()) << a.error();
+  ASSERT_TRUE(b.valid()) << b.error();
+  a.set_peer("127.0.0.1", b.local_port());
+  b.set_peer("127.0.0.1", a.local_port());
+  b.set_receiver([&](const sim::Packet& packet) { b.send(packet); });
+
+  constexpr std::uint8_t kTrigger = 1;
+  constexpr std::uint8_t kPing = 2;
+  bool echoed = false;
+  std::optional<bool> waited;
+  a.set_receiver([&](const sim::Packet& packet) {
+    if (packet.payload.at(0) == kPing) {
+      echoed = true;  // delivered by the nested run_until below
+      return;
+    }
+    a.send(numbered_packet(kPing));
+    waited = a.run_until(
+        [&] {
+          b.poll_once(0);
+          return echoed;
+        },
+        2e9);
+  });
+
+  b.send(numbered_packet(kTrigger));
+  ASSERT_TRUE(a.run_until([&] { return waited.has_value(); }, 5e9));
+  EXPECT_TRUE(*waited);
+  EXPECT_TRUE(echoed);
 }
 
 // --- GSO errno classification -------------------------------------------------

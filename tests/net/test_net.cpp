@@ -4,9 +4,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <tuple>
 #include <thread>
 
@@ -20,6 +23,7 @@
 #include "runtime/error.hpp"
 #include "runtime/failure.hpp"
 #include "runtime/host.hpp"
+#include "runtime/retransmit.hpp"
 #include "sim/fabric.hpp"
 
 namespace netcl::net {
@@ -143,6 +147,37 @@ TEST(UdpTransport, TimersFireInDeadlineOrder) {
   ASSERT_TRUE(transport.run_until([&] { return order.size() == 2; }, 5e9));
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(transport.timers_fired, 2u);
+}
+
+TEST(UdpTransport, FiringTimerMovesItsCallbackOut) {
+  // A callback whose captures outgrow std::function's local buffer lives on
+  // the heap, so copying it to fire it would allocate. The timer heap moves
+  // it out instead: a callback owning a copy counter fires without a copy.
+  struct CopyCounter {
+    int* copies;
+    std::array<std::uint64_t, 4> padding{};  // past any small-buffer size
+    explicit CopyCounter(int* counter) : copies(counter) {}
+    CopyCounter(const CopyCounter& other) : copies(other.copies), padding(other.padding) {
+      ++*copies;
+    }
+    CopyCounter(CopyCounter&&) noexcept = default;
+    CopyCounter& operator=(const CopyCounter&) = delete;
+    CopyCounter& operator=(CopyCounter&&) = delete;
+    ~CopyCounter() = default;
+  };
+  UdpTransport transport;
+  ASSERT_TRUE(transport.valid()) << transport.error();
+  int copies = 0;
+  std::vector<int> order;
+  // Scheduled latest first, so the heap reorders them as it fills.
+  for (int i = 0; i < 8; ++i) {
+    transport.schedule((8 - i) * 1e5, [counter = CopyCounter(&copies), &order, i] {
+      order.push_back(i + static_cast<int>(counter.padding[0]));
+    });
+  }
+  ASSERT_TRUE(transport.run_until([&] { return order.size() == 8; }, 5e9));
+  EXPECT_EQ(order, (std::vector<int>{7, 6, 5, 4, 3, 2, 1, 0}));
+  EXPECT_EQ(copies, 0);
 }
 
 // --- SwdServer end-to-end -----------------------------------------------------
@@ -273,6 +308,137 @@ TEST(SwdServer, ControlPlaneThroughDeviceConnection) {
   server.stop();
   serving.join();
   EXPECT_GE(static_cast<std::uint64_t>(server.control_requests), 7u);
+}
+
+/// Stops an in-process daemon serving on its own thread at scope exit,
+/// however the test leaves.
+class ServingThread {
+ public:
+  explicit ServingThread(SwdServer& server) : server_(server), thread_([this] { server_.run(); }) {}
+  ~ServingThread() {
+    server_.stop();
+    thread_.join();
+  }
+  ServingThread(const ServingThread&) = delete;
+  ServingThread& operator=(const ServingThread&) = delete;
+
+ private:
+  SwdServer& server_;
+  std::thread thread_;
+};
+
+TEST(SwdServer, AllReduceWorkersSendEachAggregateBurstsContributionsTogether) {
+  // SwitchML AllReduce over loopback UDP: four workers, each streaming
+  // chunks through a RetransmitWindow, against an in-process daemon that
+  // multicasts every finished aggregate to group {1..4}. Each aggregate
+  // acknowledges its slot, and the window sends the slot's next chunk from
+  // inside the receive callback; a burst of aggregates thus sends its
+  // contributions in one flush, so a worker makes fewer send syscalls than
+  // it sends contributions.
+  constexpr int kWorkers = 4;
+  constexpr int kSlots = 64;
+  constexpr int kValues = 32;
+  constexpr int kWindow = 8;
+  constexpr int kChunks = 512;
+  const apps::AppSource app = apps::agg_source(kWorkers, kSlots, kValues);
+  driver::CompileOptions options;
+  options.device_id = 1;
+  options.defines = app.defines;
+  driver::CompileResult compiled = driver::compile_netcl(app.source, options);
+  ASSERT_TRUE(compiled.ok) << compiled.errors;
+  const KernelSpec spec = compiled.specs.at(1);
+
+  SwdServer server(driver::make_device(std::move(compiled), 1), SwdOptions{});
+  ASSERT_TRUE(server.valid()) << server.error();
+  const ServingThread serving(server);
+  DeviceConnection connection("127.0.0.1", server.control_port());
+  ASSERT_TRUE(connection.valid());
+  ASSERT_TRUE(connection.set_multicast_group_e(apps::kAggMulticastGroup, {1, 2, 3, 4}).ok());
+
+  // Worker w's value i for chunk c, and its block exponent.
+  const auto value = [](int chunk, int w, int i) {
+    return static_cast<std::uint64_t>(chunk) * 1000 + static_cast<std::uint64_t>(i + w + 1);
+  };
+  const auto exponent = [](int chunk, int w) {
+    return static_cast<std::uint64_t>((w + chunk) & 0xF);
+  };
+
+  struct Worker {
+    std::unique_ptr<UdpTransport> transport;
+    std::unique_ptr<HostRuntime> host;
+    std::unique_ptr<runtime::RetransmitWindow> window;
+    std::uint64_t contributions = 0;
+    std::uint64_t wrong_aggregates = 0;
+  };
+  std::array<Worker, kWorkers> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    Worker& worker = workers[static_cast<std::size_t>(w)];
+    UdpTransport::Options transport_options;
+    transport_options.peer_port = server.udp_port();
+    worker.transport = std::make_unique<UdpTransport>(transport_options);
+    ASSERT_TRUE(worker.transport->valid()) << worker.transport->error();
+    worker.host = std::make_unique<HostRuntime>(*worker.transport, static_cast<std::uint16_t>(w + 1));
+    worker.host->register_spec(1, spec);
+    runtime::RetransmitWindow::Config config;
+    config.chunks = kChunks;
+    config.window = kWindow;
+    config.retransmit_ns = 2e9;  // far above any loopback RTT, sanitized or not
+    worker.window = std::make_unique<runtime::RetransmitWindow>(
+        *worker.transport, config, [&worker, &spec, &value, &exponent, w](int chunk, int slot, bool) {
+          const auto ver = static_cast<std::uint64_t>(worker.window->version(chunk));
+          ArgValues args = sim::make_args(spec);
+          args[0][0] = ver;
+          args[1][0] = static_cast<std::uint64_t>(slot);                 // bmp_idx
+          args[2][0] = ver * kSlots + static_cast<std::uint64_t>(slot);  // agg_idx
+          args[3][0] = 1ULL << w;                                        // mask
+          args[4][0] = exponent(chunk, w);
+          for (int i = 0; i < kValues; ++i) args[5][static_cast<std::size_t>(i)] = value(chunk, w, i);
+          worker.host->send(Message(static_cast<std::uint16_t>(w + 1), 0, 1, 1), args);
+          ++worker.contributions;
+        });
+    worker.host->on_receive([&worker, &value, &exponent](const Message&, ArgValues& args) {
+      const int slot = static_cast<int>(args[1][0]);
+      const int chunk = worker.window->chunk_for_slot(slot);
+      bool correct = chunk >= 0 && !worker.window->is_done(chunk) &&
+                     args[0][0] == static_cast<std::uint64_t>(worker.window->version(chunk));
+      std::uint64_t max_exp = 0;
+      for (int v = 0; v < kWorkers && correct; ++v) max_exp = std::max(max_exp, exponent(chunk, v));
+      correct = correct && args[4][0] == max_exp;
+      for (int i = 0; i < kValues && correct; ++i) {
+        std::uint64_t sum = 0;
+        for (int v = 0; v < kWorkers; ++v) sum += value(chunk, v, i);
+        correct = args[5][static_cast<std::size_t>(i)] == (sum & 0xFFFFFFFFu);
+      }
+      if (!correct) {
+        ++worker.wrong_aggregates;
+        return;
+      }
+      worker.window->acknowledge_slot(slot);
+    });
+  }
+  for (Worker& worker : workers) worker.window->start();
+
+  const auto all_complete = [&] {
+    return std::all_of(workers.begin(), workers.end(),
+                       [](const Worker& worker) { return worker.window->complete(); });
+  };
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!all_complete() && std::chrono::steady_clock::now() < deadline) {
+    for (Worker& worker : workers) worker.transport->poll_once(0);
+  }
+
+  ASSERT_TRUE(all_complete());
+  for (const Worker& worker : workers) {
+    EXPECT_EQ(worker.wrong_aggregates, 0u);
+    EXPECT_EQ(worker.window->retransmissions(), 0u);
+    EXPECT_EQ(worker.contributions, static_cast<std::uint64_t>(kChunks));
+    EXPECT_EQ(worker.transport->send_errors.value(), 0u);
+    // One sendto per datagram on the portable path.
+    if (gso_compiled_in()) {
+      EXPECT_LT(worker.transport->send_syscalls.value(), worker.contributions);
+    }
+  }
+  EXPECT_EQ(server.packets_received.value(), static_cast<std::uint64_t>(kWorkers * kChunks));
 }
 
 // --- failure model (ISSUE 3) --------------------------------------------------

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "apps/sources.hpp"
 #include "driver/compiler.hpp"
@@ -107,6 +111,102 @@ TEST(HostRuntime, StaleRoundTripsExpireAtCap) {
 }
 
 // --- RetransmitWindow ---------------------------------------------------------
+
+/// A transport whose clock only moves when the test says so, and which
+/// counts the timers pending on it.
+class ManualClockTransport final : public net::Transport {
+ public:
+  [[nodiscard]] const char* kind() const override { return "manual"; }
+  void send_batch(std::span<sim::Packet>) override {}
+  void schedule(double delay_ns, std::function<void()> callback) override {
+    timers_.push_back({now_ns_ + delay_ns, std::move(callback)});
+  }
+  [[nodiscard]] double now_ns() const override { return now_ns_; }
+
+  [[nodiscard]] std::size_t pending_timers() const { return timers_.size(); }
+  /// Moves the clock to `time_ns`, firing every timer due by then at its
+  /// own due time, earliest first (ties in scheduling order: min_element
+  /// finds the first of equal due times).
+  void advance_to(double time_ns) {
+    for (;;) {
+      const auto next = std::min_element(
+          timers_.begin(), timers_.end(),
+          [](const Timer& a, const Timer& b) { return a.due_ns < b.due_ns; });
+      if (next == timers_.end() || next->due_ns > time_ns) break;
+      std::function<void()> callback = std::move(next->callback);
+      now_ns_ = next->due_ns;
+      timers_.erase(next);
+      callback();
+    }
+    now_ns_ = time_ns;
+  }
+
+ private:
+  struct Timer {
+    double due_ns;
+    std::function<void()> callback;
+  };
+  double now_ns_ = 0.0;
+  std::vector<Timer> timers_;
+};
+
+TEST(RetransmitWindow, KeepsOneTimerPerSlotHoweverFastChunksComplete) {
+  // Every in-flight chunk is acknowledged at once, round after round, far
+  // faster than the retransmission timeout: the transport never holds
+  // more than one timer per slot, and nothing is retransmitted.
+  ManualClockTransport transport;
+  RetransmitWindow::Config config;
+  config.chunks = 10000;
+  config.window = 8;
+  config.retransmit_ns = 1000.0;
+  RetransmitWindow window(transport, config, [](int, int, bool) {});
+  window.start();
+  std::size_t most_pending = transport.pending_timers();
+  double now = 0.0;
+  while (!window.complete()) {
+    for (int slot = 0; slot < window.stride(); ++slot) window.acknowledge_slot(slot);
+    most_pending = std::max(most_pending, transport.pending_timers());
+    // Time moves on, so the timers fire before their slots' deadlines and
+    // re-arm.
+    now += 10.0;
+    transport.advance_to(now);
+  }
+  EXPECT_EQ(window.completed(), 10000);
+  EXPECT_LE(most_pending, static_cast<std::size_t>(window.stride()));
+  EXPECT_EQ(window.retransmissions(), 0u);
+  transport.advance_to(now + 1e6);
+  EXPECT_EQ(transport.pending_timers(), 0u);
+  EXPECT_EQ(window.retransmissions(), 0u);
+}
+
+TEST(RetransmitWindow, EarlierDeadlineAfterBackoffRetransmitsOnTime) {
+  // Chunk 0 backs off to a 4000 ns timeout, then is acknowledged; chunk 1,
+  // chained on the same slot, must still be retransmitted after its own
+  // 1000 ns, not when the backed-off timer comes due.
+  ManualClockTransport transport;
+  RetransmitWindow::Config config;
+  config.chunks = 2;
+  config.window = 1;
+  config.retransmit_ns = 1000.0;
+  config.backoff_factor = 4.0;
+  std::vector<std::pair<int, double>> sends;  // (chunk, send time)
+  RetransmitWindow window(transport, config, [&](int chunk, int, bool) {
+    sends.emplace_back(chunk, transport.now_ns());
+  });
+  window.start();
+  transport.advance_to(1100.0);  // chunk 0 retransmitted at 1000, next due 5000
+  EXPECT_TRUE(window.acknowledge_slot(0));  // chunk 1 sent at 1100, due 2100
+  transport.advance_to(6000.0);  // 2100: retransmitted, next due 6100
+  const std::vector<std::pair<int, double>> expected = {
+      {0, 0.0}, {0, 1000.0}, {1, 1100.0}, {1, 2100.0}};
+  EXPECT_EQ(sends, expected);
+  EXPECT_EQ(window.retransmissions(), 2u);
+  // The superseded timer (due 5000) fired and was ignored; only chunk 1's
+  // is pending.
+  EXPECT_EQ(transport.pending_timers(), 1u);
+  transport.advance_to(6100.0);
+  EXPECT_EQ(sends.back(), (std::pair<int, double>{1, 6100.0}));
+}
 
 TEST(RetransmitWindow, RetransmitsUntilAcknowledged) {
   sim::Fabric fabric;
