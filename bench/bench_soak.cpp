@@ -304,8 +304,12 @@ int main(int argc, char** argv) {
     net::ControlClient client("127.0.0.1", server.control_port());
     while (probing.load(std::memory_order_relaxed)) {
       std::uint16_t device_id = 0;
+      std::uint32_t generation = 0;
+      std::uint64_t device_clock_ns = 0;
       const auto start = Clock::now();
-      if (client.ping(device_id)) ping_ms.push_back(seconds_since(start) * 1e3);
+      if (client.ping(device_id, generation, device_clock_ns).ok()) {
+        ping_ms.push_back(seconds_since(start) * 1e3);
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
   });
@@ -331,7 +335,10 @@ int main(int argc, char** argv) {
   }
   net::ControlClient post_fault("127.0.0.1", server.control_port());
   std::uint16_t post_fault_device = 0;
-  const bool control_recovered = post_fault.ping(post_fault_device);
+  std::uint32_t post_fault_generation = 0;
+  std::uint64_t post_fault_clock_ns = 0;
+  const bool control_recovered =
+      post_fault.ping(post_fault_device, post_fault_generation, post_fault_clock_ns).ok();
 
   server.stop();
   serving.join();

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "driver/compiler.hpp"
+#include "net/sim_transport.hpp"
 #include "runtime/host.hpp"
 
 using namespace netcl;
@@ -61,8 +62,8 @@ int main() {
   //    to the switch (device 1).
   const KernelSpec spec = compiled.specs.at(1);
   sim::Fabric fabric;
-  runtime::HostRuntime client(fabric, 1);
-  runtime::HostRuntime server(fabric, 2);
+  runtime::HostRuntime client(std::make_unique<net::SimTransport>(fabric, 1), 1);
+  runtime::HostRuntime server(std::make_unique<net::SimTransport>(fabric, 2), 2);
   client.register_spec(1, spec);
   server.register_spec(1, spec);
   fabric.add_device(driver::make_device(std::move(compiled), 1));

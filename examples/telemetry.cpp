@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "driver/compiler.hpp"
+#include "net/sim_transport.hpp"
 #include "runtime/host.hpp"
 
 using namespace netcl;
@@ -60,9 +61,9 @@ int main() {
   const KernelSpec account_spec = compiled.specs.at(1);
   const KernelSpec probe_spec = compiled.specs.at(2);
   sim::Fabric fabric;
-  runtime::HostRuntime sender(fabric, 1);
-  runtime::HostRuntime sink(fabric, 2);
-  runtime::HostRuntime collector(fabric, 3);
+  runtime::HostRuntime sender(std::make_unique<net::SimTransport>(fabric, 1), 1);
+  runtime::HostRuntime sink(std::make_unique<net::SimTransport>(fabric, 2), 2);
+  runtime::HostRuntime collector(std::make_unique<net::SimTransport>(fabric, 3), 3);
   for (runtime::HostRuntime* host : {&sender, &sink, &collector}) {
     host->register_spec(1, account_spec);
     host->register_spec(2, probe_spec);

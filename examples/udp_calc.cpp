@@ -35,6 +35,7 @@
 #include "apps/sources.hpp"
 #include "driver/compiler.hpp"
 #include "net/factory.hpp"
+#include "net/sim_transport.hpp"
 #include "net/swd_server.hpp"
 #include "net/udp_transport.hpp"
 #include "obs/metrics.hpp"
@@ -122,7 +123,7 @@ int main(int argc, char** argv) {
     driver::CompileResult sim_compiled = compile_calc();
     sim::Fabric fabric(7);
     fabric.add_device(driver::make_device(std::move(sim_compiled), 1));
-    runtime::HostRuntime host(fabric, 1);
+    runtime::HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
     host.register_spec(1, spec);
     fabric.connect(sim::host_ref(1), sim::device_ref(1));
     host.on_receive([&](const runtime::Message&, sim::ArgValues& args) {

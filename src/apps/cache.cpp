@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "apps/sources.hpp"
+#include "net/sim_transport.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "runtime/host.hpp"
@@ -43,8 +44,8 @@ CacheResult run_cache(const CacheConfig& config) {
   }
 
   sim::Fabric fabric(config.seed);
-  HostRuntime client(fabric, 1);
-  HostRuntime server(fabric, 2);
+  HostRuntime client(std::make_unique<net::SimTransport>(fabric, 1), 1);
+  HostRuntime server(std::make_unique<net::SimTransport>(fabric, 2), 2);
   client.register_spec(1, spec);
   server.register_spec(1, spec);
   fabric.add_device(driver::make_device(std::move(compiled), 1));

@@ -108,9 +108,9 @@ void flight_dump(const Options& options) {
   }
   netcl::net::ControlClient client(options.host, options.control_port);
   netcl::net::ControlClient::FlightDumpResult result;
-  if (!client.flight_dump(0, result)) {
-    std::fprintf(stderr, "ncl-top: kFlightDump request to %s:%u failed\n",
-                 options.host.c_str(), options.control_port);
+  if (const netcl::runtime::Error err = client.flight_dump(0, result)) {
+    std::fprintf(stderr, "ncl-top: kFlightDump request to %s:%u failed: %s\n",
+                 options.host.c_str(), options.control_port, err.to_string().c_str());
     return;
   }
   netcl::obs::FlightStream daemon;
@@ -419,7 +419,7 @@ void render_quantiles(const std::map<std::string, Series>& now) {
 /// runs without --profile.
 void render_hot_frames(netcl::net::ControlClient& client) {
   netcl::net::ControlClient::ProfileDumpResult result;
-  if (!client.profile_dump(netcl::net::kProfileReturnText, result)) return;
+  if (!client.profile_dump(netcl::net::kProfileReturnText, result).ok()) return;
   if (result.hz == 0 || result.folded.empty()) return;
   std::map<std::string, double> leaves;
   double total = 0.0;

@@ -20,8 +20,9 @@
 //                          second's worth, i.e. --tenant-rate)
 //     --ingress-queue <n>  bounded drop-oldest ingress queue capacity
 //                          (default 1024)
-//     --read-deadline <s>  reap control connections stalled mid-frame for
-//                          s seconds (slowloris defence; default 10,
+//     --read-deadline <s>  reap control connections stalled mid-frame, and
+//                          connections whose reply is not read, after s
+//                          seconds (slowloris defence; default 10,
 //                          0 disables)
 //     --profile[=hz]       continuous sampling CPU profiler (ISSUE 9);
 //                          default 99 Hz. SIGUSR1 or the kProfileDump

@@ -117,8 +117,9 @@ int main(int argc, char** argv) {
   }
 
   netcl::net::ControlClient client(host, control_port);
-  if (!client.connected() && !client.connect_now()) {
-    std::cerr << "netcl-ctl: cannot connect to " << host << ":" << control_port << "\n";
+  if (const netcl::runtime::Error err = client.connect_now()) {
+    std::cerr << "netcl-ctl: cannot connect to " << host << ":" << control_port << ": "
+              << err.message << "\n";
     return 1;
   }
 
@@ -177,7 +178,7 @@ int main(int argc, char** argv) {
       print_usage();
       return 2;
     }
-    std::vector<netcl::net::KernelInfo> kernels;
+    std::vector<netcl::sim::TenantInfo> kernels;
     if (const netcl::runtime::Error err = client.list_kernels(kernels)) {
       std::cerr << "netcl-ctl: list failed: " << err.message << "\n";
       return exit_code_for(err);
@@ -186,8 +187,8 @@ int main(int argc, char** argv) {
       std::cout << "no resident tenants\n";
       return 0;
     }
-    for (const netcl::net::KernelInfo& info : kernels) {
-      std::cout << "tenant " << info.tenant << " '" << info.name << "': "
+    for (const netcl::sim::TenantInfo& info : kernels) {
+      std::cout << "tenant " << info.id << " '" << info.name << "': "
                 << info.stages_used << (info.stages_used == 1 ? " stage" : " stages")
                 << ", computations [";
       for (std::size_t i = 0; i < info.computations.size(); ++i) {
@@ -195,8 +196,8 @@ int main(int argc, char** argv) {
         std::cout << info.computations[i];
       }
       std::cout << "], worst " << info.usage << ", packets "
-                << info.packets_processed << ", kernels " << info.kernels_executed
-                << ", drops " << info.drops_action << "\n";
+                << info.stats.packets_processed << ", kernels " << info.stats.kernels_executed
+                << ", drops " << info.stats.drops_action << "\n";
     }
     return 0;
   }
@@ -210,10 +211,9 @@ int main(int argc, char** argv) {
     if (!profile_no_file) flags |= netcl::net::kProfileWriteFile;
     if (profile_text) flags |= netcl::net::kProfileReturnText;
     netcl::net::ControlClient::ProfileDumpResult result;
-    if (!client.profile_dump(flags, result)) {
-      std::cerr << "netcl-ctl: profile dump failed: " << client.last_error().message
-                << "\n";
-      return 1;
+    if (const netcl::runtime::Error err = client.profile_dump(flags, result)) {
+      std::cerr << "netcl-ctl: profile dump failed: " << err.message << "\n";
+      return exit_code_for(err);
     }
     // With --text the folded stacks go to stdout (flamegraph.pl-ready);
     // the human summary moves to stderr so the pipe stays clean.

@@ -37,16 +37,41 @@ bool deadline_passed(ControlDeadline deadline) {
   return std::chrono::steady_clock::now() >= deadline;
 }
 
-/// The 8-byte preamble in front of `payload_size` bytes of payload.
-void append_frame_header(ByteWriter& frame, std::size_t payload_size) {
-  frame.u8(kControlFrameMagic[0]);
-  frame.u8(kControlFrameMagic[1]);
-  frame.u8(kControlFrameVersion);
-  frame.u8(0);  // reserved, must be zero
-  frame.u32(static_cast<std::uint32_t>(payload_size));
+/// The request for `op`, its operands still to be appended.
+ByteWriter request_for(ControlOp op) {
+  ByteWriter request;
+  request.u8(static_cast<std::uint8_t>(op));
+  return request;
+}
+
+/// What an op returns when its reply does not decode.
+runtime::Error malformed_reply(const char* op) {
+  return {runtime::ErrorKind::kMalformed, std::string("malformed ") + op + " reply"};
+}
+
+/// One frame (preamble + payload) in a single buffer.
+std::vector<std::uint8_t> make_frame(const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> frame;
+  append_frame(frame, payload);
+  return frame;
 }
 
 }  // namespace
+
+void append_frame(std::vector<std::uint8_t>& out, std::span<const std::uint8_t> payload) {
+  const auto length = static_cast<std::uint32_t>(payload.size());
+  const std::uint8_t header[kControlFrameHeaderBytes] = {
+      kControlFrameMagic[0],
+      kControlFrameMagic[1],
+      kControlFrameVersion,
+      0,  // reserved, must be zero
+      static_cast<std::uint8_t>(length),
+      static_cast<std::uint8_t>(length >> 8),
+      static_cast<std::uint8_t>(length >> 16),
+      static_cast<std::uint8_t>(length >> 24)};
+  out.insert(out.end(), std::begin(header), std::end(header));
+  out.insert(out.end(), payload.begin(), payload.end());
+}
 
 FrameParse parse_frame_header(std::span<const std::uint8_t> data, std::uint32_t& length,
                               runtime::Error& error) {
@@ -97,13 +122,6 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t n) {
     const ssize_t w = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Non-blocking fd with a full send buffer: wait for writability
-        // instead of tearing the stream down. Bounded so a client that
-        // never drains cannot wedge the server's poll loop forever.
-        pollfd pfd{fd, POLLOUT, 0};
-        if (::poll(&pfd, 1, 5000) > 0 && (pfd.revents & POLLOUT) != 0) continue;
-      }
       return false;
     }
     sent += static_cast<std::size_t>(w);
@@ -113,10 +131,8 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t n) {
 
 bool write_frame(int fd, const std::vector<std::uint8_t>& payload) {
   // Single send(); see the deadline overload for the Nagle rationale.
-  ByteWriter frame;
-  append_frame_header(frame, payload.size());
-  frame.raw(payload);
-  return write_all(fd, frame.bytes().data(), frame.bytes().size());
+  const std::vector<std::uint8_t> frame = make_frame(payload);
+  return write_all(fd, frame.data(), frame.size());
 }
 
 bool read_frame(int fd, std::vector<std::uint8_t>& payload) {
@@ -171,10 +187,8 @@ bool write_frame(int fd, const std::vector<std::uint8_t>& payload, ControlDeadli
   // One send(), not header-then-payload: two small writes trip Nagle +
   // delayed-ACK (~40 ms per frame on loopback), which would dominate the
   // control RTT and ruin PING-based clock alignment (ISSUE 4).
-  ByteWriter frame;
-  append_frame_header(frame, payload.size());
-  frame.raw(payload);
-  return write_all(fd, frame.bytes().data(), frame.bytes().size(), deadline);
+  const std::vector<std::uint8_t> frame = make_frame(payload);
+  return write_all(fd, frame.data(), frame.size(), deadline);
 }
 
 bool read_frame(int fd, std::vector<std::uint8_t>& payload, ControlDeadline deadline) {
@@ -239,32 +253,25 @@ void ControlClient::disconnect() {
   fd_ = -1;
 }
 
-void ControlClient::fail(runtime::ErrorKind kind, std::string message) {
-  error_ = runtime::Error(kind, std::move(message));
-}
-
-bool ControlClient::connect_now() {
-  if (fd_ >= 0) return true;
+runtime::Error ControlClient::connect_now() {
+  using runtime::ErrorKind;
+  if (fd_ >= 0) return {};
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port_);
   if (::inet_pton(AF_INET, host_.c_str(), &addr.sin_addr) != 1) {
-    fail(runtime::ErrorKind::kDisconnected, "invalid control host '" + host_ + "'");
-    return false;
+    return {ErrorKind::kDisconnected, "invalid control host '" + host_ + "'"};
   }
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) {
-    fail(runtime::ErrorKind::kDisconnected, std::string("socket: ") + std::strerror(errno));
-    return false;
-  }
+  if (fd_ < 0) return {ErrorKind::kDisconnected, std::string("socket: ") + std::strerror(errno)};
   // Non-blocking from the start: connect against a partitioned host would
   // otherwise block for minutes; here it is bounded by connect_timeout_ms.
   set_nonblocking(fd_);
   if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     if (errno != EINPROGRESS) {
-      fail(runtime::ErrorKind::kDisconnected, std::string("connect: ") + std::strerror(errno));
+      runtime::Error err{ErrorKind::kDisconnected, std::string("connect: ") + std::strerror(errno)};
       disconnect();
-      return false;
+      return err;
     }
     const auto deadline =
         std::chrono::steady_clock::now() +
@@ -275,25 +282,22 @@ bool ControlClient::connect_now() {
       ready = ::poll(&pfd, 1, remaining_ms(deadline));
     } while (ready < 0 && errno == EINTR && !deadline_passed(deadline));
     if (ready <= 0) {
-      fail(runtime::ErrorKind::kTimeout, "connect to " + host_ + " timed out");
       disconnect();
-      return false;
+      return {ErrorKind::kTimeout, "connect to " + host_ + " timed out"};
     }
     int so_error = 0;
     socklen_t len = sizeof(so_error);
     ::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &so_error, &len);
     if (so_error != 0) {
-      fail(runtime::ErrorKind::kDisconnected,
-           std::string("connect: ") + std::strerror(so_error));
       disconnect();
       obs::flight(obs::FlightKind::kControlReconnect, 0);
-      return false;
+      return {ErrorKind::kDisconnected, std::string("connect: ") + std::strerror(so_error)};
     }
   }
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   obs::flight(obs::FlightKind::kControlReconnect, 1);
-  return true;
+  return {};
 }
 
 void ControlClient::backoff(int attempt) {
@@ -307,8 +311,8 @@ void ControlClient::backoff(int attempt) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(delay_ms));
 }
 
-bool ControlClient::roundtrip(const ByteWriter& request, std::vector<std::uint8_t>& response,
-                              runtime::Error* op_error) {
+runtime::Error ControlClient::roundtrip(const ByteWriter& request,
+                                        std::vector<std::uint8_t>& response) {
   // One id for all attempts of this logical request: the daemon dedups on
   // (client_id, request_id), so a retry after a half-applied request
   // replays the cached response instead of re-executing the op.
@@ -322,84 +326,65 @@ bool ControlClient::roundtrip(const ByteWriter& request, std::vector<std::uint8_
   const std::uint64_t op = request.bytes().empty() ? 0 : request.bytes()[0];
   obs::flight(obs::FlightKind::kControlRequest, op, request.bytes().size());
   std::vector<std::uint8_t> frame = pool_.acquire();
+  runtime::Error err;
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (attempt > 0) {
       obs::flight(obs::FlightKind::kControlRetry, op, static_cast<std::uint64_t>(attempt));
       backoff(attempt);
     }
-    if (fd_ < 0 && !connect_now()) continue;
+    if (fd_ < 0) {
+      err = connect_now();
+      if (err) continue;
+    }
     const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::milliseconds(static_cast<long>(options_.request_timeout_ms));
     if (write_frame(fd_, framed.bytes(), deadline) && read_frame(fd_, frame, deadline)) {
-      if (frame.empty() || frame[0] != kControlOk) {
-        // The daemon answered and rejected the op: not a transport failure,
-        // so no retry and no transport error recorded.
-        error_ = runtime::Error();
-        if (op_error != nullptr) {
-          *op_error = runtime::Error(runtime::ErrorKind::kRejected,
-                                     "device refused the operation");
-          // New-style ops append a typed body: u8 ErrorKind, str message.
-          if (frame.size() > 1) {
-            ByteReader reader({frame.data() + 1, frame.size() - 1});
-            const auto kind = static_cast<runtime::ErrorKind>(reader.u8());
-            std::string message = reader.str();
-            if (reader.ok()) *op_error = runtime::Error(kind, std::move(message));
-          }
-        }
-        pool_.release(std::move(frame));
-        return false;
+      if (!frame.empty() && frame[0] == kControlOk) {
+        response.assign(frame.begin() + 1, frame.end());
+        err = {};
+      } else {
+        // The daemon answered and refused the op: not a transport failure,
+        // so no retry. Its body is [u8 ErrorKind, str message].
+        ByteReader reader(std::span<const std::uint8_t>(frame).subspan(frame.empty() ? 0 : 1));
+        const std::uint8_t kind = reader.u8();
+        std::string message = reader.str();
+        const bool typed =
+            reader.ok() && kind != 0 &&
+            kind <= static_cast<std::uint8_t>(runtime::ErrorKind::kMalformed);
+        err = typed ? runtime::Error(static_cast<runtime::ErrorKind>(kind), std::move(message))
+                    : malformed_reply("kControlError");
       }
-      response.assign(frame.begin() + 1, frame.end());
-      error_ = runtime::Error();
-      if (op_error != nullptr) *op_error = runtime::Error();
       pool_.release(std::move(frame));
-      return true;
+      return err;
     }
     // A broken or stalled stream cannot carry further requests; close and
     // reconnect on the next attempt.
-    fail(deadline_passed(deadline) ? runtime::ErrorKind::kTimeout
-                                   : runtime::ErrorKind::kDisconnected,
-         "control request to " + host_ + ":" + std::to_string(port_) + " failed (attempt " +
-             std::to_string(attempt + 1) + ")");
+    err = {deadline_passed(deadline) ? runtime::ErrorKind::kTimeout
+                                     : runtime::ErrorKind::kDisconnected,
+           "control request to " + host_ + ":" + std::to_string(port_) + " failed (attempt " +
+               std::to_string(attempt + 1) + ")"};
     disconnect();
   }
-  if (op_error != nullptr) *op_error = error_;
   pool_.release(std::move(frame));
-  return false;
+  return err;
 }
 
-bool ControlClient::ping(std::uint16_t& device_id) {
-  std::uint32_t generation = 0;
-  return ping(device_id, generation);
-}
-
-bool ControlClient::ping(std::uint16_t& device_id, std::uint32_t& generation) {
-  std::uint64_t device_clock_ns = 0;
-  return ping(device_id, generation, device_clock_ns);
-}
-
-bool ControlClient::ping(std::uint16_t& device_id, std::uint32_t& generation,
-                         std::uint64_t& device_clock_ns) {
-  ByteWriter request;
-  request.u8(static_cast<std::uint8_t>(ControlOp::kPing));
+runtime::Error ControlClient::ping(std::uint16_t& device_id, std::uint32_t& generation,
+                                   std::uint64_t& device_clock_ns) {
   std::vector<std::uint8_t> response;
-  if (!roundtrip(request, response)) return false;
+  if (runtime::Error err = roundtrip(request_for(ControlOp::kPing), response)) return err;
   ByteReader reader(response);
   device_id = reader.u16();
   generation = reader.u32();
-  if (!reader.ok()) return false;
-  // Pre-extension daemons answer without the clock; report 0 rather than
-  // failing the heartbeat.
-  device_clock_ns = reader.at_end() ? 0 : reader.u64();
-  return reader.ok();
+  device_clock_ns = reader.u64();
+  return reader.ok() ? runtime::Error{} : malformed_reply("kPing");
 }
 
-bool ControlClient::managed_write(const std::string& name,
-                                  const std::vector<std::uint64_t>& indices,
-                                  std::uint64_t value) {
-  ByteWriter request;
-  request.u8(static_cast<std::uint8_t>(ControlOp::kManagedWrite));
+runtime::Error ControlClient::managed_write(const std::string& name,
+                                            const std::vector<std::uint64_t>& indices,
+                                            std::uint64_t value) {
+  ByteWriter request = request_for(ControlOp::kManagedWrite);
   request.str(name);
   request.u64_vec(indices);
   request.u64(value);
@@ -407,24 +392,22 @@ bool ControlClient::managed_write(const std::string& name,
   return roundtrip(request, response);
 }
 
-bool ControlClient::managed_read(const std::string& name,
-                                 const std::vector<std::uint64_t>& indices,
-                                 std::uint64_t& out) {
-  ByteWriter request;
-  request.u8(static_cast<std::uint8_t>(ControlOp::kManagedRead));
+runtime::Error ControlClient::managed_read(const std::string& name,
+                                           const std::vector<std::uint64_t>& indices,
+                                           std::uint64_t& out) {
+  ByteWriter request = request_for(ControlOp::kManagedRead);
   request.str(name);
   request.u64_vec(indices);
   std::vector<std::uint8_t> response;
-  if (!roundtrip(request, response)) return false;
+  if (runtime::Error err = roundtrip(request, response)) return err;
   ByteReader reader(response);
   out = reader.u64();
-  return reader.ok();
+  return reader.ok() ? runtime::Error{} : malformed_reply("kManagedRead");
 }
 
-bool ControlClient::insert(const std::string& table, std::uint64_t key_lo,
-                           std::uint64_t key_hi, std::uint64_t value) {
-  ByteWriter request;
-  request.u8(static_cast<std::uint8_t>(ControlOp::kInsert));
+runtime::Error ControlClient::insert(const std::string& table, std::uint64_t key_lo,
+                                     std::uint64_t key_hi, std::uint64_t value) {
+  ByteWriter request = request_for(ControlOp::kInsert);
   request.str(table);
   request.u64(key_lo);
   request.u64(key_hi);
@@ -433,29 +416,26 @@ bool ControlClient::insert(const std::string& table, std::uint64_t key_lo,
   return roundtrip(request, response);
 }
 
-bool ControlClient::remove(const std::string& table, std::uint64_t key) {
-  ByteWriter request;
-  request.u8(static_cast<std::uint8_t>(ControlOp::kRemove));
+runtime::Error ControlClient::remove(const std::string& table, std::uint64_t key) {
+  ByteWriter request = request_for(ControlOp::kRemove);
   request.str(table);
   request.u64(key);
   std::vector<std::uint8_t> response;
   return roundtrip(request, response);
 }
 
-bool ControlClient::stats(sim::DeviceStats& out) {
-  ByteWriter request;
-  request.u8(static_cast<std::uint8_t>(ControlOp::kStats));
+runtime::Error ControlClient::stats(sim::DeviceStats& out) {
   std::vector<std::uint8_t> response;
-  if (!roundtrip(request, response)) return false;
+  if (runtime::Error err = roundtrip(request_for(ControlOp::kStats), response)) return err;
   ByteReader reader(response);
-  return decode_stats(reader, out);
+  return decode_stats(reader, out) ? runtime::Error{} : malformed_reply("kStats");
 }
 
-bool ControlClient::register_access(std::map<std::string, sim::RegisterAccess>& out) {
-  ByteWriter request;
-  request.u8(static_cast<std::uint8_t>(ControlOp::kRegisterAccess));
+runtime::Error ControlClient::register_access(std::map<std::string, sim::RegisterAccess>& out) {
   std::vector<std::uint8_t> response;
-  if (!roundtrip(request, response)) return false;
+  if (runtime::Error err = roundtrip(request_for(ControlOp::kRegisterAccess), response)) {
+    return err;
+  }
   ByteReader reader(response);
   const std::uint16_t count = reader.u16();
   out.clear();
@@ -466,13 +446,12 @@ bool ControlClient::register_access(std::map<std::string, sim::RegisterAccess>& 
     access.writes = reader.u64();
     out[name] = access;
   }
-  return reader.ok();
+  return reader.ok() ? runtime::Error{} : malformed_reply("kRegisterAccess");
 }
 
-bool ControlClient::set_multicast_group(std::uint16_t group,
-                                        const std::vector<std::uint16_t>& hosts) {
-  ByteWriter request;
-  request.u8(static_cast<std::uint8_t>(ControlOp::kSetMulticastGroup));
+runtime::Error ControlClient::set_multicast_group(std::uint16_t group,
+                                                  const std::vector<std::uint16_t>& hosts) {
+  ByteWriter request = request_for(ControlOp::kSetMulticastGroup);
   request.u16(group);
   request.u16(static_cast<std::uint16_t>(hosts.size()));
   for (const std::uint16_t host : hosts) request.u16(host);
@@ -480,33 +459,30 @@ bool ControlClient::set_multicast_group(std::uint16_t group,
   return roundtrip(request, response);
 }
 
-bool ControlClient::metrics_text(std::string& out) {
-  ByteWriter request;
-  request.u8(static_cast<std::uint8_t>(ControlOp::kMetricsText));
+runtime::Error ControlClient::metrics_text(std::string& out) {
   std::vector<std::uint8_t> response;
-  if (!roundtrip(request, response)) return false;
+  if (runtime::Error err = roundtrip(request_for(ControlOp::kMetricsText), response)) return err;
   // Raw UTF-8 body — the frame length already delimits it, and a str()'s
   // u16 length prefix would cap the exposition at 64 KiB.
   out.assign(response.begin(), response.end());
-  return true;
+  return {};
 }
 
-bool ControlClient::flight_dump(std::uint32_t window_seconds, FlightDumpResult& out) {
-  ByteWriter request;
-  request.u8(static_cast<std::uint8_t>(ControlOp::kFlightDump));
+runtime::Error ControlClient::flight_dump(std::uint32_t window_seconds, FlightDumpResult& out) {
+  ByteWriter request = request_for(ControlOp::kFlightDump);
   request.u32(window_seconds);
   // Bracket the round trip on the flight clock: the daemon reads its
   // device clock once in between, which is exactly the align_clocks()
   // midpoint-estimator setup (error ≤ RTT/2).
   const std::uint64_t send_ns = obs::flight_now_ns();
   std::vector<std::uint8_t> response;
-  if (!roundtrip(request, response)) return false;
+  if (runtime::Error err = roundtrip(request, response)) return err;
   const std::uint64_t recv_ns = obs::flight_now_ns();
   ByteReader reader(response);
   out.device_clock_now_ns = reader.u64();
   const std::uint32_t count = reader.u32();
   out.events.clear();
-  out.events.reserve(count);
+  out.events.reserve(std::min<std::size_t>(count, reader.remaining()));
   for (std::uint32_t i = 0; i < count && reader.ok(); ++i) {
     obs::FlightEvent event;
     event.ts_ns = reader.u64();
@@ -517,29 +493,26 @@ bool ControlClient::flight_dump(std::uint32_t window_seconds, FlightDumpResult& 
     event.b = reader.u64();
     out.events.push_back(event);
   }
-  if (!reader.ok()) return false;
+  if (!reader.ok()) return malformed_reply("kFlightDump");
   const obs::ClockAlignment alignment =
       obs::align_clocks(static_cast<double>(send_ns), static_cast<double>(recv_ns),
                         static_cast<double>(out.device_clock_now_ns));
   out.offset_ns = alignment.valid ? alignment.offset_ns : 0.0;
-  return true;
+  return {};
 }
 
-bool ControlClient::profile_dump(std::uint8_t flags, ProfileDumpResult& out) {
-  ByteWriter request;
-  request.u8(static_cast<std::uint8_t>(ControlOp::kProfileDump));
+runtime::Error ControlClient::profile_dump(std::uint8_t flags, ProfileDumpResult& out) {
+  ByteWriter request = request_for(ControlOp::kProfileDump);
   request.u8(flags);
   std::vector<std::uint8_t> response;
-  if (!roundtrip(request, response)) return false;
+  if (runtime::Error err = roundtrip(request, response)) return err;
   ByteReader reader(response);
   out.samples = reader.u64();
   out.distinct_stacks = reader.u64();
   out.hz = reader.u32();
   out.path = reader.str();
-  const std::uint32_t text_len = reader.u32();
-  if (text_len > reader.remaining()) return false;
-  out.folded = reader.bytes_str(text_len);
-  return reader.ok();
+  out.folded = reader.bytes_str(reader.u32());
+  return reader.ok() ? runtime::Error{} : malformed_reply("kProfileDump");
 }
 
 runtime::Error ControlClient::load_kernel(std::uint32_t tenant, const std::string& name,
@@ -547,8 +520,7 @@ runtime::Error ControlClient::load_kernel(std::uint32_t tenant, const std::strin
                                           const std::map<std::string, std::uint64_t>& defines,
                                           bool replace, std::uint16_t* stages_used,
                                           std::string* summary) {
-  ByteWriter request;
-  request.u8(static_cast<std::uint8_t>(ControlOp::kLoadKernel));
+  ByteWriter request = request_for(ControlOp::kLoadKernel);
   request.u32(tenant);
   request.u8(replace ? 1 : 0);
   request.str(name);
@@ -562,58 +534,44 @@ runtime::Error ControlClient::load_kernel(std::uint32_t tenant, const std::strin
   request.u32(static_cast<std::uint32_t>(source.size()));
   request.raw({reinterpret_cast<const std::uint8_t*>(source.data()), source.size()});
   std::vector<std::uint8_t> response;
-  runtime::Error op_error;
-  if (!roundtrip(request, response, &op_error)) return op_error;
+  if (runtime::Error err = roundtrip(request, response)) return err;
   ByteReader reader(response);
   const std::uint16_t stages = reader.u16();
   std::string headroom = reader.str();
-  if (!reader.ok()) {
-    return {runtime::ErrorKind::kRejected, "malformed kLoadKernel response"};
-  }
+  if (!reader.ok()) return malformed_reply("kLoadKernel");
   if (stages_used != nullptr) *stages_used = stages;
   if (summary != nullptr) *summary = std::move(headroom);
   return {};
 }
 
 runtime::Error ControlClient::unload_kernel(std::uint32_t tenant) {
-  ByteWriter request;
-  request.u8(static_cast<std::uint8_t>(ControlOp::kUnloadKernel));
+  ByteWriter request = request_for(ControlOp::kUnloadKernel);
   request.u32(tenant);
   std::vector<std::uint8_t> response;
-  runtime::Error op_error;
-  roundtrip(request, response, &op_error);
-  return op_error;
+  return roundtrip(request, response);
 }
 
-runtime::Error ControlClient::list_kernels(std::vector<KernelInfo>& out) {
-  ByteWriter request;
-  request.u8(static_cast<std::uint8_t>(ControlOp::kListKernels));
+runtime::Error ControlClient::list_kernels(std::vector<sim::TenantInfo>& out) {
   std::vector<std::uint8_t> response;
-  runtime::Error op_error;
-  if (!roundtrip(request, response, &op_error)) return op_error;
+  if (runtime::Error err = roundtrip(request_for(ControlOp::kListKernels), response)) return err;
   ByteReader reader(response);
   const std::uint16_t count = reader.u16();
   out.clear();
-  out.reserve(count);
   for (std::uint16_t i = 0; i < count && reader.ok(); ++i) {
-    KernelInfo info;
-    info.tenant = reader.u32();
+    sim::TenantInfo& info = out.emplace_back();
+    info.id = reader.u32();
     info.name = reader.str();
     info.stages_used = reader.u16();
     const std::uint16_t n_comps = reader.u16();
     for (std::uint16_t c = 0; c < n_comps && reader.ok(); ++c) {
-      info.computations.push_back(reader.u32());
+      info.computations.push_back(static_cast<int>(reader.u32()));
     }
     info.usage = reader.str();
-    info.packets_processed = reader.u64();
-    info.kernels_executed = reader.u64();
-    info.drops_action = reader.u64();
-    out.push_back(std::move(info));
+    info.stats.packets_processed = reader.u64();
+    info.stats.kernels_executed = reader.u64();
+    info.stats.drops_action = reader.u64();
   }
-  if (!reader.ok()) {
-    return {runtime::ErrorKind::kRejected, "malformed kListKernels response"};
-  }
-  return {};
+  return reader.ok() ? runtime::Error{} : malformed_reply("kListKernels");
 }
 
 }  // namespace netcl::net

@@ -6,9 +6,12 @@
 // Framing: TCP — an 8-byte preamble ('N' 'C' version reserved + u32 LE
 // payload length; see kControlFrameMagic below), then the payload.
 // A request payload is u64 client id + u64 request id + u8 opcode +
-// operands; a response is u8 status (kControlOk / kControlError) + results.
-// All integers little-endian (the ByteWriter/ByteReader codec in
-// net/wire.hpp). One request, one response, in order, per connection.
+// operands; a response is u8 kControlOk + results, or, for every op and
+// every failure, [kControlError, u8 runtime::ErrorKind, str message]: a
+// truncated operand is kMalformed, a refused op kRejected with a message
+// naming the op and its object. All integers little-endian (the
+// ByteWriter/ByteReader codec in net/wire.hpp). One request, one response,
+// in order, per connection.
 //
 // Failure model (ISSUE 3): every client operation is bounded — non-blocking
 // connect with a deadline, poll-based request/response I/O with a deadline,
@@ -53,10 +56,10 @@ enum class ControlOp : std::uint8_t {
   kFlightDump = 10,
   // Multi-tenant kernel lifecycle (ISSUE 7). The daemon compiles the
   // shipped source with its injected sim::ProgramCompiler and loads it
-  // through admission control. Source travels as u32 length + raw bytes
-  // because str()'s u16 prefix would cap kernels at 64 KiB. Failures
-  // answer [kControlError, u8 runtime::ErrorKind, str message] — the typed
-  // body old ops never had (and old clients never read past byte 0).
+  // through admission control (sim::install_kernel). Source travels as u32
+  // length + raw bytes because str()'s u16 prefix would cap kernels at
+  // 64 KiB. A compile diagnostic or an admission report is the failure
+  // body's message.
   // u32 tenant, u8 flags (bit0 = replace/hitless-swap), str name,
   // u16 n_defines { str name, u64 value }*, u32 src_len, raw source
   //   -> u16 stages_used, str admission summary
@@ -119,6 +122,8 @@ using ControlDeadline = std::chrono::steady_clock::time_point;
 /// Blocking full-buffer read/write; false on EOF or error.
 bool read_exact(int fd, std::uint8_t* out, std::size_t n);
 bool write_all(int fd, const std::uint8_t* data, std::size_t n);
+/// Appends one frame (preamble + payload) to `out`.
+void append_frame(std::vector<std::uint8_t>& out, std::span<const std::uint8_t> payload);
 /// One length-prefixed frame.
 bool write_frame(int fd, const std::vector<std::uint8_t>& payload);
 bool read_frame(int fd, std::vector<std::uint8_t>& payload);
@@ -132,19 +137,6 @@ bool read_frame(int fd, std::vector<std::uint8_t>& payload, ControlDeadline dead
 
 void encode_stats(ByteWriter& w, const sim::DeviceStats& stats);
 bool decode_stats(ByteReader& r, sim::DeviceStats& out);
-
-/// One resident kernel program as reported by kListKernels.
-struct KernelInfo {
-  std::uint32_t tenant = 0;
-  std::string name;
-  std::uint16_t stages_used = 0;
-  std::vector<std::uint32_t> computations;
-  /// Worst-stage resource row ("sram=3 salu=2 ...") or "unaccounted".
-  std::string usage;
-  std::uint64_t packets_processed = 0;
-  std::uint64_t kernels_executed = 0;
-  std::uint64_t drops_action = 0;
-};
 
 /// Deadlines and retry budget for one ControlClient. Backoff between retry
 /// attempts is exponential from backoff_base_ms, capped at backoff_max_ms,
@@ -162,6 +154,11 @@ struct ControlClientOptions {
 /// TCP control-plane client with bounded blocking. DeviceConnection wraps
 /// one of these when pointed at a netcl-swd daemon, so host programs use
 /// the exact same managed-memory API against sim and real devices.
+///
+/// Every op returns a runtime::Error (empty = success): kTimeout or
+/// kDisconnected when the transport failed, the daemon's own ErrorKind and
+/// message when it answered and refused (kRejected, kMalformed), and
+/// kMalformed when a reply does not decode.
 class ControlClient {
  public:
   /// Attempts the first connect immediately (IPv4 literal host), bounded
@@ -174,37 +171,34 @@ class ControlClient {
   ControlClient& operator=(const ControlClient&) = delete;
 
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
-  /// Last transport-level failure (timeout / disconnect); empty after a
-  /// successful round trip. An op-level rejection (the daemon answered
-  /// kControlError) does not set it.
-  [[nodiscard]] const runtime::Error& last_error() const { return error_; }
   /// (Re)establishes the connection within connect_timeout_ms.
-  bool connect_now();
+  runtime::Error connect_now();
 
-  bool ping(std::uint16_t& device_id);
-  /// The heartbeat: PONG carries the device generation, which bumps on
-  /// every daemon restart (stale offloaded state).
-  bool ping(std::uint16_t& device_id, std::uint32_t& generation);
-  /// Heartbeat plus the device's telemetry clock (ns on the same clockbase
-  /// the daemon stamps TelemetryHops with). Bracket the call with local
-  /// transport timestamps and feed all three to obs::align_clocks().
-  /// device_clock_ns reads 0 against a pre-extension daemon.
-  bool ping(std::uint16_t& device_id, std::uint32_t& generation,
-            std::uint64_t& device_clock_ns);
-  bool managed_write(const std::string& name, const std::vector<std::uint64_t>& indices,
-                     std::uint64_t value);
-  bool managed_read(const std::string& name, const std::vector<std::uint64_t>& indices,
-                    std::uint64_t& out);
-  bool insert(const std::string& table, std::uint64_t key_lo, std::uint64_t key_hi,
-              std::uint64_t value);
-  bool remove(const std::string& table, std::uint64_t key);
-  bool stats(sim::DeviceStats& out);
-  bool register_access(std::map<std::string, sim::RegisterAccess>& out);
-  bool set_multicast_group(std::uint16_t group, const std::vector<std::uint16_t>& hosts);
+  /// The heartbeat: PONG carries the device id, the device generation
+  /// (bumps on every daemon restart: stale offloaded state) and the
+  /// device's telemetry clock (ns on the clockbase the daemon stamps
+  /// TelemetryHops with). Bracket the call with local transport timestamps
+  /// and feed all three to obs::align_clocks().
+  [[nodiscard]] runtime::Error ping(std::uint16_t& device_id, std::uint32_t& generation,
+                                    std::uint64_t& device_clock_ns);
+  [[nodiscard]] runtime::Error managed_write(const std::string& name,
+                                             const std::vector<std::uint64_t>& indices,
+                                             std::uint64_t value);
+  [[nodiscard]] runtime::Error managed_read(const std::string& name,
+                                            const std::vector<std::uint64_t>& indices,
+                                            std::uint64_t& out);
+  [[nodiscard]] runtime::Error insert(const std::string& table, std::uint64_t key_lo,
+                                      std::uint64_t key_hi, std::uint64_t value);
+  [[nodiscard]] runtime::Error remove(const std::string& table, std::uint64_t key);
+  [[nodiscard]] runtime::Error stats(sim::DeviceStats& out);
+  [[nodiscard]] runtime::Error register_access(
+      std::map<std::string, sim::RegisterAccess>& out);
+  [[nodiscard]] runtime::Error set_multicast_group(std::uint16_t group,
+                                                   const std::vector<std::uint16_t>& hosts);
   /// Fetches the daemon's Prometheus text exposition over the control
   /// plane — same body --metrics-port serves, for clients that already
   /// hold a control connection (ncl-top's fallback path).
-  bool metrics_text(std::string& out);
+  [[nodiscard]] runtime::Error metrics_text(std::string& out);
 
   /// The daemon's flight-recorder events from the last `window_seconds`
   /// (0 = the recorder's default window), ready to merge into a local
@@ -218,7 +212,7 @@ class ControlClient {
     /// Timestamps on the daemon's device clock, oldest first.
     std::vector<obs::FlightEvent> events;
   };
-  bool flight_dump(std::uint32_t window_seconds, FlightDumpResult& out);
+  [[nodiscard]] runtime::Error flight_dump(std::uint32_t window_seconds, FlightDumpResult& out);
 
   /// The daemon's cumulative CPU profile (ISSUE 9).
   struct ProfileDumpResult {
@@ -233,34 +227,29 @@ class ControlClient {
     std::string folded;
   };
   /// `flags` is a bitmask of kProfileWriteFile / kProfileReturnText.
-  bool profile_dump(std::uint8_t flags, ProfileDumpResult& out);
+  [[nodiscard]] runtime::Error profile_dump(std::uint8_t flags, ProfileDumpResult& out);
 
   // --- multi-tenant kernel lifecycle (ISSUE 7) ------------------------------
-  // These return the typed error (empty = success): a daemon-side rejection
-  // arrives with its real ErrorKind (kRejected + the admission resource
-  // report, a compile diagnostic, ...), a transport failure as
-  // kTimeout/kDisconnected.
   /// Compiles `source` on the daemon and loads it as `tenant`. With
   /// `replace` set, swaps a resident tenant's program hitlessly instead.
-  /// On success `stages_used`/`summary` (if non-null) receive the new
-  /// program's stage count and the device's admission headroom line.
-  runtime::Error load_kernel(std::uint32_t tenant, const std::string& name,
-                             const std::string& source,
-                             const std::map<std::string, std::uint64_t>& defines,
-                             bool replace, std::uint16_t* stages_used = nullptr,
-                             std::string* summary = nullptr);
-  runtime::Error unload_kernel(std::uint32_t tenant);
-  runtime::Error list_kernels(std::vector<KernelInfo>& out);
+  /// A rejection carries the admission resource report or the compile
+  /// diagnostic. On success `stages_used`/`summary` (if non-null) receive
+  /// the new program's stage count and the device's admission headroom line.
+  [[nodiscard]] runtime::Error load_kernel(std::uint32_t tenant, const std::string& name,
+                                           const std::string& source,
+                                           const std::map<std::string, std::uint64_t>& defines,
+                                           bool replace, std::uint16_t* stages_used = nullptr,
+                                           std::string* summary = nullptr);
+  [[nodiscard]] runtime::Error unload_kernel(std::uint32_t tenant);
+  [[nodiscard]] runtime::Error list_kernels(std::vector<sim::TenantInfo>& out);
 
  private:
   /// Sends one request frame and reads the response, retrying with backoff
-  /// and reconnect up to max_retries. True only for a kControlOk status;
-  /// `response` receives the body past the status byte. When the daemon
-  /// answers kControlError, `op_error` (if non-null) receives the typed
-  /// error body new-style ops append (or a generic kRejected without one).
-  bool roundtrip(const ByteWriter& request, std::vector<std::uint8_t>& response,
-                 runtime::Error* op_error = nullptr);
-  void fail(runtime::ErrorKind kind, std::string message);
+  /// and reconnect up to max_retries. On kControlOk `response` receives the
+  /// body past the status byte; on kControlError the daemon's typed body
+  /// is returned (kMalformed when it does not decode), and a refusal is
+  /// not retried.
+  runtime::Error roundtrip(const ByteWriter& request, std::vector<std::uint8_t>& response);
   void disconnect();
   /// Capped exponential backoff with jitter before retry `attempt` (1-based).
   void backoff(int attempt);
@@ -272,7 +261,6 @@ class ControlClient {
   std::uint64_t client_id_ = 0;
   std::uint64_t next_request_id_ = 1;
   SplitMix64 jitter_;
-  runtime::Error error_;
   /// Response-frame buffers recycled across requests (ISSUE 5): read_frame
   /// resizes into previously grown capacity, so a steady control-plane
   /// workload stops allocating per round trip.

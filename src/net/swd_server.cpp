@@ -47,6 +47,20 @@ std::uint16_t bind_and_resolve(int fd, std::uint16_t port) {
   return ntohs(addr.sin_port);
 }
 
+/// The failure for an op whose operands overran the request.
+runtime::Error truncated(const char* op) {
+  return {runtime::ErrorKind::kMalformed, std::string("truncated ") + op + " request"};
+}
+
+/// The one failure reply: [kControlError, u8 ErrorKind, str message].
+std::vector<std::uint8_t> failure_reply(const runtime::Error& err) {
+  ByteWriter failure;
+  failure.u8(kControlError);
+  failure.u8(static_cast<std::uint8_t>(err.kind));
+  failure.str(err.message);
+  return failure.bytes();
+}
+
 }  // namespace
 
 SwdServer::SwdServer(std::unique_ptr<sim::SwitchDevice> device, const SwdOptions& options)
@@ -367,254 +381,216 @@ std::vector<std::uint8_t> SwdServer::handle_control(std::span<const std::uint8_t
   const auto op = static_cast<ControlOp>(reader.u8());
   ByteWriter ok;
   ok.u8(kControlOk);
-  bool handled = reader.ok();
-  // Typed failure body (new-style ops): appended after the kControlError
-  // status byte when set. Legacy ops keep the bare single-byte failure.
-  runtime::Error op_error;
-  if (handled) {
-    switch (op) {
-      case ControlOp::kPing:
-        ok.u16(device_->device_id());
-        ok.u32(device_->generation());
-        // Telemetry clock (ISSUE 4): same clockbase the daemon stamps
-        // TelemetryHops with, so hosts can align device spans.
-        ok.u64(device_clock_ns());
-        break;
-      case ControlOp::kManagedWrite: {
-        const std::string name = reader.str();
-        const std::vector<std::uint64_t> indices = reader.u64_vec();
-        const std::uint64_t value = reader.u64();
-        handled = reader.ok() && device_->managed_write(name, indices, value);
-        break;
-      }
-      case ControlOp::kManagedRead: {
-        const std::string name = reader.str();
-        const std::vector<std::uint64_t> indices = reader.u64_vec();
-        std::uint64_t value = 0;
-        handled = reader.ok() && device_->managed_read(name, indices, value);
-        ok.u64(value);
-        break;
-      }
-      case ControlOp::kInsert: {
-        const std::string table = reader.str();
-        const std::uint64_t lo = reader.u64();
-        const std::uint64_t hi = reader.u64();
-        const std::uint64_t value = reader.u64();
-        handled = reader.ok() && device_->lookup_insert(table, lo, hi, value);
-        break;
-      }
-      case ControlOp::kRemove: {
-        const std::string table = reader.str();
-        const std::uint64_t key = reader.u64();
-        handled = reader.ok() && device_->lookup_remove(table, key);
-        break;
-      }
-      case ControlOp::kStats:
-        encode_stats(ok, device_->stats);
-        break;
-      case ControlOp::kRegisterAccess: {
-        const std::map<std::string, sim::RegisterAccess> access = device_->register_access();
-        ok.u16(static_cast<std::uint16_t>(access.size()));
-        for (const auto& [name, counts] : access) {
-          ok.str(name);
-          ok.u64(counts.reads);
-          ok.u64(counts.writes);
-        }
-        break;
-      }
-      case ControlOp::kSetMulticastGroup: {
-        const std::uint16_t group = reader.u16();
-        const std::uint16_t count = reader.u16();
-        std::vector<std::uint16_t> members;
-        for (std::uint16_t i = 0; i < count && reader.ok(); ++i) members.push_back(reader.u16());
-        handled = reader.ok();
-        if (handled) multicast_groups_[group] = std::move(members);
-        break;
-      }
-      case ControlOp::kMetricsText: {
-        // Raw UTF-8 body; the frame length delimits it (a str()'s u16
-        // length prefix would cap the exposition at 64 KiB).
-        const std::string text = metrics_exposition();
-        ok.raw({reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
-        break;
-      }
-      case ControlOp::kFlightDump: {
-        const std::uint32_t window_s = reader.u32();
-        handled = reader.ok();
-        if (!handled) break;
-        const std::uint64_t window_ns =
-            window_s == 0 ? obs::FlightRecorder::kDefaultWindowNs
-                          : static_cast<std::uint64_t>(window_s) * 1000000000ull;
-        std::vector<obs::FlightEvent> events =
-            obs::FlightRecorder::instance().snapshot(window_ns);
-        // Keep the newest events if the window holds more than one frame
-        // can reasonably carry (events are sorted oldest-first).
-        constexpr std::size_t kMaxDumpEvents = 8192;
-        const std::size_t first =
-            events.size() > kMaxDumpEvents ? events.size() - kMaxDumpEvents : 0;
-        // Flight clock → device clock: the daemon's epoch on the flight
-        // clockbase, so clients can merge via the PONG-aligned offset.
-        const auto epoch_ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                epoch_.time_since_epoch())
-                .count());
-        ok.u64(device_clock_ns());
-        ok.u32(static_cast<std::uint32_t>(events.size() - first));
-        for (std::size_t i = first; i < events.size(); ++i) {
-          const obs::FlightEvent& event = events[i];
-          ok.u64(event.ts_ns >= epoch_ns ? event.ts_ns - epoch_ns : 0);
-          ok.u16(event.kind);
-          ok.u16(event.ring);
-          ok.u64(event.a);
-          ok.u64(event.b);
-        }
-        break;
-      }
-      case ControlOp::kLoadKernel: {
-        const std::uint32_t tenant = reader.u32();
-        const std::uint8_t flags = reader.u8();
-        const std::string name = reader.str();
-        const std::uint16_t n_defines = reader.u16();
-        std::map<std::string, std::uint64_t> defines;
-        for (std::uint16_t i = 0; i < n_defines && reader.ok(); ++i) {
-          const std::string define = reader.str();
-          defines[define] = reader.u64();
-        }
-        const std::uint32_t src_len = reader.u32();
-        if (!reader.ok() || src_len > reader.remaining()) {
-          // Validate the length against the bytes actually present BEFORE
-          // sizing any buffer — a hostile u32 here was once a 4 GiB
-          // reserve() (allocation bomb).
-          handled = false;
-          op_error = {runtime::ErrorKind::kMalformed,
-                      "kernel source length overruns frame"};
-          break;
-        }
-        std::string source = reader.bytes_str(src_len);
-        handled = reader.ok();
-        if (!handled) break;
-        if (!compiler_) {
-          handled = false;
-          op_error = {runtime::ErrorKind::kRejected,
-                      "daemon has no kernel compiler installed"};
-          ++kernels_rejected;
-          break;
-        }
-        const bool replace = (flags & 1) != 0;
-        sim::ProgramArtifact artifact;
-        runtime::Error err = compiler_(source, defines, device_->device_id(), artifact);
-        const auto stages = static_cast<std::uint16_t>(artifact.stages_used);
-        if (err.ok()) {
-          if (!name.empty()) artifact.name = name;
-          err = replace ? device_->swap_program(tenant, std::move(artifact))
-                        : device_->load_program(tenant, std::move(artifact));
-        }
-        if (!err.ok()) {
-          handled = false;
-          op_error = std::move(err);
-          ++kernels_rejected;
-          break;
-        }
-        obs::flight(replace ? obs::FlightKind::kKernelSwap : obs::FlightKind::kKernelLoad,
-                    tenant, stages);
-        ++kernels_loaded;
-        if (verbose_) {
-          std::fprintf(stderr, "netcl-swd: %s tenant %u (%u stages); %s\n",
-                       replace ? "swapped" : "loaded", tenant, stages,
-                       device_->admission().summary().c_str());
-        }
-        ok.u16(stages);
-        ok.str(device_->admission().summary());
-        break;
-      }
-      case ControlOp::kUnloadKernel: {
-        const std::uint32_t tenant = reader.u32();
-        handled = reader.ok();
-        if (!handled) break;
-        runtime::Error err = device_->unload_program(tenant);
-        if (!err.ok()) {
-          handled = false;
-          op_error = std::move(err);
-          break;
-        }
-        obs::flight(obs::FlightKind::kKernelUnload, tenant);
-        ++kernels_unloaded;
-        break;
-      }
-      case ControlOp::kListKernels: {
-        const std::vector<sim::TenantInfo> table = device_->tenant_table();
-        ok.u16(static_cast<std::uint16_t>(table.size()));
-        for (const sim::TenantInfo& info : table) {
-          ok.u32(info.id);
-          ok.str(info.name);
-          ok.u16(static_cast<std::uint16_t>(info.stages_used));
-          ok.u16(static_cast<std::uint16_t>(info.computations.size()));
-          for (const int comp : info.computations) ok.u32(static_cast<std::uint32_t>(comp));
-          ok.str(info.usage);
-          ok.u64(info.stats.packets_processed);
-          ok.u64(info.stats.kernels_executed);
-          ok.u64(info.stats.drops_action);
-        }
-        break;
-      }
-      case ControlOp::kProfileDump: {
-        const std::uint8_t flags = reader.u8();
-        handled = reader.ok();
-        if (!handled) break;
-        obs::Profiler& profiler = obs::Profiler::instance();
-        std::string path;
-        if ((flags & kProfileWriteFile) != 0) path = profiler.trigger_profile_dump();
-        const obs::ProfileSnapshot snap = profiler.snapshot();
-        std::string folded;
-        if ((flags & kProfileReturnText) != 0) {
-          for (const auto& [stack, count] : snap.folded) {
-            folded += stack;
-            folded += ' ';
-            folded += std::to_string(count);
-            folded += '\n';
-          }
-          // The response must fit the 1 MiB control frame; truncate whole
-          // lines past half of it (a folded profile is normally a few KiB).
-          constexpr std::size_t kMaxFoldedBytes = kMaxControlFrame / 2;
-          if (folded.size() > kMaxFoldedBytes) {
-            folded.resize(folded.rfind('\n', kMaxFoldedBytes) + 1);
-          }
-        }
-        ok.u64(snap.samples);
-        ok.u64(static_cast<std::uint64_t>(snap.folded.size()));
-        ok.u32(profiler.running() ? static_cast<std::uint32_t>(profiler.hz()) : 0);
-        ok.str(path);
-        ok.u32(static_cast<std::uint32_t>(folded.size()));
-        ok.raw({reinterpret_cast<const std::uint8_t*>(folded.data()), folded.size()});
-        break;
-      }
-      default:
-        handled = false;
-        op_error = {runtime::ErrorKind::kMalformed,
-                    "unknown control opcode " + std::to_string(static_cast<unsigned>(op))};
-        break;
-    }
-  } else {
-    op_error = {runtime::ErrorKind::kMalformed, "truncated control request"};
-  }
-  std::vector<std::uint8_t> response;
-  if (!handled) {
-    ++control_errors;
-    ByteWriter failure;
-    failure.u8(kControlError);
-    if (op_error) {
-      failure.u8(static_cast<std::uint8_t>(op_error.kind));
-      failure.str(op_error.message);
-    }
-    response = failure.bytes();
-  } else {
-    response = ok.bytes();
-  }
+  const runtime::Error err =
+      reader.ok() ? execute_control(op, reader, ok) : truncated("control");
+  if (err) ++control_errors;
+  std::vector<std::uint8_t> response = err ? failure_reply(err) : ok.bytes();
   // One cached response per client; a handful of hosts per daemon, so a
   // coarse wipe at an absurd size is bound enough.
   if (replay_cache_.size() > 256) replay_cache_.clear();
   replay_cache_[client_id] = {request_id, response};
   return response;
+}
+
+runtime::Error SwdServer::execute_control(ControlOp op, ByteReader& reader, ByteWriter& ok) {
+  switch (op) {
+    case ControlOp::kPing:
+      ok.u16(device_->device_id());
+      ok.u32(device_->generation());
+      // Telemetry clock (ISSUE 4): same clockbase the daemon stamps
+      // TelemetryHops with, so hosts can align device spans.
+      ok.u64(device_clock_ns());
+      return {};
+    case ControlOp::kManagedWrite: {
+      const std::string name = reader.str();
+      const std::vector<std::uint64_t> indices = reader.u64_vec();
+      const std::uint64_t value = reader.u64();
+      if (!reader.ok()) return truncated("managed_write");
+      if (!device_->managed_write(name, indices, value)) {
+        return runtime::refused("managed_write", name);
+      }
+      return {};
+    }
+    case ControlOp::kManagedRead: {
+      const std::string name = reader.str();
+      const std::vector<std::uint64_t> indices = reader.u64_vec();
+      if (!reader.ok()) return truncated("managed_read");
+      std::uint64_t value = 0;
+      if (!device_->managed_read(name, indices, value)) {
+        return runtime::refused("managed_read", name);
+      }
+      ok.u64(value);
+      return {};
+    }
+    case ControlOp::kInsert: {
+      const std::string table = reader.str();
+      const std::uint64_t lo = reader.u64();
+      const std::uint64_t hi = reader.u64();
+      const std::uint64_t value = reader.u64();
+      if (!reader.ok()) return truncated("insert");
+      if (!device_->lookup_insert(table, lo, hi, value)) {
+        return runtime::refused("insert into", table);
+      }
+      return {};
+    }
+    case ControlOp::kRemove: {
+      const std::string table = reader.str();
+      const std::uint64_t key = reader.u64();
+      if (!reader.ok()) return truncated("remove");
+      if (!device_->lookup_remove(table, key)) return runtime::refused("remove from", table);
+      return {};
+    }
+    case ControlOp::kStats:
+      encode_stats(ok, device_->stats);
+      return {};
+    case ControlOp::kRegisterAccess: {
+      const std::map<std::string, sim::RegisterAccess> access = device_->register_access();
+      ok.u16(static_cast<std::uint16_t>(access.size()));
+      for (const auto& [name, counts] : access) {
+        ok.str(name);
+        ok.u64(counts.reads);
+        ok.u64(counts.writes);
+      }
+      return {};
+    }
+    case ControlOp::kSetMulticastGroup: {
+      const std::uint16_t group = reader.u16();
+      const std::uint16_t count = reader.u16();
+      std::vector<std::uint16_t> members;
+      for (std::uint16_t i = 0; i < count && reader.ok(); ++i) members.push_back(reader.u16());
+      if (!reader.ok()) return truncated("set_multicast_group");
+      multicast_groups_[group] = std::move(members);
+      return {};
+    }
+    case ControlOp::kMetricsText: {
+      // Raw UTF-8 body; the frame length delimits it (a str()'s u16
+      // length prefix would cap the exposition at 64 KiB).
+      const std::string text = metrics_exposition();
+      ok.raw({reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
+      return {};
+    }
+    case ControlOp::kFlightDump: {
+      const std::uint32_t window_s = reader.u32();
+      if (!reader.ok()) return truncated("flight_dump");
+      const std::uint64_t window_ns =
+          window_s == 0 ? obs::FlightRecorder::kDefaultWindowNs
+                        : static_cast<std::uint64_t>(window_s) * 1000000000ull;
+      std::vector<obs::FlightEvent> events = obs::FlightRecorder::instance().snapshot(window_ns);
+      // Keep the newest events if the window holds more than one frame
+      // can reasonably carry (events are sorted oldest-first).
+      constexpr std::size_t kMaxDumpEvents = 8192;
+      const std::size_t first =
+          events.size() > kMaxDumpEvents ? events.size() - kMaxDumpEvents : 0;
+      // Flight clock → device clock: the daemon's epoch on the flight
+      // clockbase, so clients can merge via the PONG-aligned offset.
+      const auto epoch_ns = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(epoch_.time_since_epoch())
+              .count());
+      ok.u64(device_clock_ns());
+      ok.u32(static_cast<std::uint32_t>(events.size() - first));
+      for (std::size_t i = first; i < events.size(); ++i) {
+        const obs::FlightEvent& event = events[i];
+        ok.u64(event.ts_ns >= epoch_ns ? event.ts_ns - epoch_ns : 0);
+        ok.u16(event.kind);
+        ok.u16(event.ring);
+        ok.u64(event.a);
+        ok.u64(event.b);
+      }
+      return {};
+    }
+    case ControlOp::kLoadKernel: {
+      const std::uint32_t tenant = reader.u32();
+      const bool replace = (reader.u8() & 1) != 0;
+      const std::string name = reader.str();
+      const std::uint16_t n_defines = reader.u16();
+      std::map<std::string, std::uint64_t> defines;
+      for (std::uint16_t i = 0; i < n_defines && reader.ok(); ++i) {
+        const std::string define = reader.str();
+        defines[define] = reader.u64();
+      }
+      const std::uint32_t src_len = reader.u32();
+      if (!reader.ok() || src_len > reader.remaining()) {
+        // Validate the length against the bytes actually present BEFORE
+        // sizing any buffer — a hostile u32 here was once a 4 GiB
+        // reserve() (allocation bomb).
+        return {runtime::ErrorKind::kMalformed, "kernel source length overruns frame"};
+      }
+      const std::string source = reader.bytes_str(src_len);
+      std::uint16_t stages = 0;
+      if (runtime::Error err = sim::install_kernel(*device_, compiler_, tenant, name, source,
+                                                   defines, replace, stages)) {
+        ++kernels_rejected;
+        return err;
+      }
+      obs::flight(replace ? obs::FlightKind::kKernelSwap : obs::FlightKind::kKernelLoad, tenant,
+                  stages);
+      ++kernels_loaded;
+      if (verbose_) {
+        std::fprintf(stderr, "netcl-swd: %s tenant %u (%u stages); %s\n",
+                     replace ? "swapped" : "loaded", tenant, stages,
+                     device_->admission().summary().c_str());
+      }
+      ok.u16(stages);
+      ok.str(device_->admission().summary());
+      return {};
+    }
+    case ControlOp::kUnloadKernel: {
+      const std::uint32_t tenant = reader.u32();
+      if (!reader.ok()) return truncated("unload_kernel");
+      if (runtime::Error err = device_->unload_program(tenant)) return err;
+      obs::flight(obs::FlightKind::kKernelUnload, tenant);
+      ++kernels_unloaded;
+      return {};
+    }
+    case ControlOp::kListKernels: {
+      const std::vector<sim::TenantInfo> table = device_->tenant_table();
+      ok.u16(static_cast<std::uint16_t>(table.size()));
+      for (const sim::TenantInfo& info : table) {
+        ok.u32(info.id);
+        ok.str(info.name);
+        ok.u16(static_cast<std::uint16_t>(info.stages_used));
+        ok.u16(static_cast<std::uint16_t>(info.computations.size()));
+        for (const int comp : info.computations) ok.u32(static_cast<std::uint32_t>(comp));
+        ok.str(info.usage);
+        ok.u64(info.stats.packets_processed);
+        ok.u64(info.stats.kernels_executed);
+        ok.u64(info.stats.drops_action);
+      }
+      return {};
+    }
+    case ControlOp::kProfileDump: {
+      const std::uint8_t flags = reader.u8();
+      if (!reader.ok()) return truncated("profile_dump");
+      obs::Profiler& profiler = obs::Profiler::instance();
+      std::string path;
+      if ((flags & kProfileWriteFile) != 0) path = profiler.trigger_profile_dump();
+      const obs::ProfileSnapshot snap = profiler.snapshot();
+      std::string folded;
+      if ((flags & kProfileReturnText) != 0) {
+        for (const auto& [stack, count] : snap.folded) {
+          folded += stack;
+          folded += ' ';
+          folded += std::to_string(count);
+          folded += '\n';
+        }
+        // The response must fit the 1 MiB control frame; truncate whole
+        // lines past half of it (a folded profile is normally a few KiB).
+        constexpr std::size_t kMaxFoldedBytes = kMaxControlFrame / 2;
+        if (folded.size() > kMaxFoldedBytes) {
+          folded.resize(folded.rfind('\n', kMaxFoldedBytes) + 1);
+        }
+      }
+      ok.u64(snap.samples);
+      ok.u64(static_cast<std::uint64_t>(snap.folded.size()));
+      ok.u32(profiler.running() ? static_cast<std::uint32_t>(profiler.hz()) : 0);
+      ok.str(path);
+      ok.u32(static_cast<std::uint32_t>(folded.size()));
+      ok.raw({reinterpret_cast<const std::uint8_t*>(folded.data()), folded.size()});
+      return {};
+    }
+  }
+  return {runtime::ErrorKind::kMalformed,
+          "unknown control opcode " + std::to_string(static_cast<unsigned>(op))};
 }
 
 double SwdServer::uptime_s() const {
@@ -703,25 +679,30 @@ void SwdServer::accept_metrics_connection() {
     const int fd = ::accept(metrics_listen_fd_, nullptr, nullptr);
     if (fd < 0) return;
     set_nonblocking(fd);
-    metrics_connections_.push_back({fd, {}, uptime_s()});
+    Connection& connection = metrics_connections_.emplace_back();
+    connection.fd = fd;
+    connection.last_activity_s = uptime_s();
   }
 }
 
 void SwdServer::service_metrics_connection(Connection& connection) {
+  if (!connection.outbox.empty()) {
+    // The response is going out; once it has, the connection closes.
+    if (!flush_outbox(connection) || connection.outbox.empty()) close_connection(connection);
+    return;
+  }
   std::uint8_t buffer[4096];
   for (;;) {
     const ssize_t n = ::read(connection.fd, buffer, sizeof(buffer));
     if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
-      ::close(connection.fd);
-      connection.fd = -1;
+      close_connection(connection);
       return;
     }
     if (n < 0) break;  // drained for now
     connection.inbox.insert(connection.inbox.end(), buffer, buffer + n);
     if (connection.inbox.size() > 16384) {
       // No scrape request needs this much header; drop the flooder.
-      ::close(connection.fd);
-      connection.fd = -1;
+      close_connection(connection);
       return;
     }
   }
@@ -742,11 +723,9 @@ void SwdServer::service_metrics_connection(Connection& connection) {
       "\r\n"
       "Connection: close\r\n\r\n" +
       body;
-  write_all(connection.fd, reinterpret_cast<const std::uint8_t*>(response.data()),
-            response.size());
+  connection.outbox.assign(response.begin(), response.end());
   ++metrics_scrapes;
-  ::close(connection.fd);
-  connection.fd = -1;
+  if (!flush_outbox(connection) || connection.outbox.empty()) close_connection(connection);
 }
 
 void SwdServer::accept_connection() {
@@ -754,18 +733,58 @@ void SwdServer::accept_connection() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) return;
     set_nonblocking(fd);
-    connections_.push_back({fd, {}, uptime_s()});
+    Connection& connection = connections_.emplace_back();
+    connection.fd = fd;
+    connection.last_activity_s = uptime_s();
   }
 }
 
+void SwdServer::close_connection(Connection& connection) {
+  ::close(connection.fd);
+  connection.fd = -1;
+}
+
+bool SwdServer::flush_outbox(Connection& connection) {
+  bool progressed = false;
+  while (connection.outbox_sent < connection.outbox.size()) {
+    // Never blocks the data-plane thread: what the socket does not take
+    // now waits for POLLOUT.
+    const ssize_t w = ::send(connection.fd, connection.outbox.data() + connection.outbox_sent,
+                             connection.outbox.size() - connection.outbox_sent,
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (w > 0) {
+      connection.outbox_sent += static_cast<std::size_t>(w);
+      progressed = true;
+    } else if (w < 0 && errno == EINTR) {
+      continue;
+    } else if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (progressed || connection.outbox_progress_s < 0.0) {
+        connection.outbox_progress_s = uptime_s();
+      }
+      return true;
+    } else {
+      return false;
+    }
+  }
+  connection.outbox.clear();
+  connection.outbox_sent = 0;
+  connection.outbox_progress_s = -1.0;
+  return true;
+}
+
 void SwdServer::service_connection(Connection& connection) {
+  // A pending reply goes first; until it has left, nothing more is read or
+  // dispatched, so TCP pushes back on a client that does not read.
+  if (!flush_outbox(connection)) {
+    close_connection(connection);
+    return;
+  }
   std::uint8_t buffer[4096];
   bool got_bytes = false;
-  for (;;) {
+  while (connection.outbox.empty()) {
     const ssize_t n = ::read(connection.fd, buffer, sizeof(buffer));
     if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
-      ::close(connection.fd);
-      connection.fd = -1;
+      close_connection(connection);
       return;
     }
     if (n < 0) break;  // drained for now
@@ -773,9 +792,10 @@ void SwdServer::service_connection(Connection& connection) {
     connection.inbox.insert(connection.inbox.end(), buffer, buffer + n);
   }
   if (got_bytes) connection.last_activity_s = uptime_s();
-  // Dispatch every complete frame in the inbox.
+  // Dispatch every complete frame in the inbox, each reply sent in the
+  // cycle that handled its request, until a reply does not fit the socket.
   std::size_t pos = 0;
-  for (;;) {
+  while (connection.outbox.empty()) {
     std::uint32_t length = 0;
     runtime::Error frame_error;
     const FrameParse parse = parse_frame_header(
@@ -790,31 +810,29 @@ void SwdServer::service_connection(Connection& connection) {
       ++control_errors;
       obs::flight(obs::FlightKind::kControlMalformed,
                   static_cast<std::uint64_t>(connection.inbox.size() - pos));
-      ByteWriter failure;
-      failure.u8(kControlError);
-      failure.u8(static_cast<std::uint8_t>(frame_error.kind));
-      failure.str(frame_error.message);
-      write_frame(connection.fd, failure.bytes());
-      ::close(connection.fd);
-      connection.fd = -1;
+      append_frame(connection.outbox, failure_reply(frame_error));
+      flush_outbox(connection);
+      close_connection(connection);
       return;
     }
     if (connection.inbox.size() - pos - kControlFrameHeaderBytes < length) break;
-    const std::vector<std::uint8_t> response = handle_control(
-        {connection.inbox.data() + pos + kControlFrameHeaderBytes, length});
-    if (!write_frame(connection.fd, response)) {
-      ::close(connection.fd);
-      connection.fd = -1;
+    append_frame(connection.outbox, handle_control({connection.inbox.data() + pos +
+                                                        kControlFrameHeaderBytes,
+                                                    length}));
+    pos += kControlFrameHeaderBytes + length;
+    if (!flush_outbox(connection)) {
+      close_connection(connection);
       return;
     }
-    pos += kControlFrameHeaderBytes + length;
   }
   connection.inbox.erase(connection.inbox.begin(),
                          connection.inbox.begin() + static_cast<std::ptrdiff_t>(pos));
   // Read-progress state for the slowloris reaper: the clock starts when a
   // partial frame first appears and only resets once the inbox fully
-  // drains — trickled bytes do not extend the deadline.
-  if (connection.inbox.empty()) {
+  // drains — trickled bytes do not extend the deadline. While a reply is
+  // pending the daemon waits on the client's reads, not its writes, and the
+  // outbox deadline applies instead.
+  if (connection.inbox.empty() || !connection.outbox.empty()) {
     connection.frame_started_s = -1.0;
   } else if (connection.frame_started_s < 0.0) {
     connection.frame_started_s = uptime_s();
@@ -879,8 +897,7 @@ void SwdServer::poll_once(int timeout_ms) {
     const double now_s = uptime_s();
     for (Connection& connection : connections_) {
       if (now_s - connection.last_activity_s > idle_timeout_seconds_) {
-        ::close(connection.fd);
-        connection.fd = -1;
+        close_connection(connection);
         ++connections_reaped;
       }
     }
@@ -889,8 +906,7 @@ void SwdServer::poll_once(int timeout_ms) {
     // its fd forever; reap on the same budget.
     for (Connection& connection : metrics_connections_) {
       if (now_s - connection.last_activity_s > idle_timeout_seconds_) {
-        ::close(connection.fd);
-        connection.fd = -1;
+        close_connection(connection);
       }
     }
     std::erase_if(metrics_connections_,
@@ -899,33 +915,42 @@ void SwdServer::poll_once(int timeout_ms) {
   if (read_deadline_seconds_ > 0.0) {
     // Slowloris defence: a connection stalled mid-frame past the read
     // deadline is reaped — unlike idle reaping, this fires even while the
-    // peer trickles a byte at a time (progress is not activity).
+    // peer trickles a byte at a time (progress is not activity). A reply
+    // the peer does not read is held to the same deadline.
     const double now_s = uptime_s();
-    for (Connection& connection : connections_) {
-      if (connection.frame_started_s >= 0.0 &&
-          now_s - connection.frame_started_s > read_deadline_seconds_) {
+    const auto reap_stalled = [&](std::vector<Connection>& connections) {
+      for (Connection& connection : connections) {
+        const double since_s = connection.outbox.empty() ? connection.frame_started_s
+                                                         : connection.outbox_progress_s;
+        if (since_s < 0.0 || now_s - since_s <= read_deadline_seconds_) continue;
         obs::flight(obs::FlightKind::kSlowReadReap,
-                    static_cast<std::uint64_t>(connection.inbox.size()),
-                    static_cast<std::uint64_t>(now_s - connection.frame_started_s));
-        ::close(connection.fd);
-        connection.fd = -1;
+                    static_cast<std::uint64_t>(connection.inbox.size() +
+                                               connection.outbox.size()),
+                    static_cast<std::uint64_t>(now_s - since_s));
+        close_connection(connection);
         ++connections_reaped_slow;
       }
-    }
-    std::erase_if(connections_, [](const Connection& connection) { return connection.fd < 0; });
+      std::erase_if(connections, [](const Connection& connection) { return connection.fd < 0; });
+    };
+    reap_stalled(connections_);
+    reap_stalled(metrics_connections_);
   }
   std::vector<pollfd>& fds = poll_fds_;
   fds.clear();
   fds.push_back({socket_.fd(), POLLIN, 0});
   fds.push_back({listen_fd_, POLLIN, 0});
+  // A connection with a reply pending waits for POLLOUT only.
+  const auto wanted = [](const Connection& connection) -> short {
+    return connection.outbox.empty() ? POLLIN : POLLOUT;
+  };
   for (const Connection& connection : connections_) {
-    fds.push_back({connection.fd, POLLIN, 0});
+    fds.push_back({connection.fd, wanted(connection), 0});
   }
   const std::size_t metrics_listen_index = fds.size();
   if (metrics_listen_fd_ >= 0) fds.push_back({metrics_listen_fd_, POLLIN, 0});
   const std::size_t metrics_base = fds.size();
   for (const Connection& connection : metrics_connections_) {
-    fds.push_back({connection.fd, POLLIN, 0});
+    fds.push_back({connection.fd, wanted(connection), 0});
   }
   // With a backlog queued or datagrams held by the socket, don't sleep —
   // poll only collects what's already ready and the cycle goes straight on
@@ -966,7 +991,7 @@ void SwdServer::poll_once(int timeout_ms) {
     }
   }
   for (std::size_t i = 0; i < polled; ++i) {
-    if ((fds[2 + i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+    if ((fds[2 + i].revents & (POLLIN | POLLOUT | POLLHUP | POLLERR)) != 0) {
       service_connection(connections_[i]);
     }
   }
@@ -984,7 +1009,7 @@ void SwdServer::poll_once(int timeout_ms) {
     }
   }
   for (std::size_t i = 0; i < metrics_polled; ++i) {
-    if ((fds[metrics_base + i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+    if ((fds[metrics_base + i].revents & (POLLIN | POLLOUT | POLLHUP | POLLERR)) != 0) {
       service_metrics_connection(metrics_connections_[i]);
     }
   }

@@ -27,6 +27,7 @@
 #include <span>
 #include <vector>
 
+#include "net/control.hpp"
 #include "net/datagram_socket.hpp"
 #include "net/policer.hpp"
 #include "obs/metrics.hpp"
@@ -79,7 +80,9 @@ struct SwdOptions {
   std::size_t max_cycle_execute = 0;
   /// A control connection holding an incomplete frame longer than this is
   /// reaped (slowloris defence) — independent of idle_timeout_seconds,
-  /// which only covers connections with no pending frame. 0 disables.
+  /// which only covers connections with no pending frame. So is a control
+  /// or scrape connection whose pending reply makes no progress for this
+  /// long. 0 disables.
   double read_deadline_seconds = 10.0;
 
   // --- continuous profiling + per-tenant SLOs (ISSUE 9) ---------------------
@@ -161,8 +164,9 @@ class SwdServer {
   /// Control connections closed for a malformed frame header (bad magic /
   /// version / oversize length).
   obs::Counter& control_malformed = metrics_.counter("control.malformed");
-  /// Control connections reaped for stalling mid-frame past
-  /// read_deadline_seconds (slowloris defence).
+  /// Control or scrape connections reaped for stalling past
+  /// read_deadline_seconds: mid-frame (slowloris defence), or on a reply
+  /// the peer does not read.
   obs::Counter& connections_reaped_slow = metrics_.counter("connections.reaped_slow");
   /// Outbound packet addressed to a host this daemon never heard from.
   obs::Counter& dropped_unknown_host = metrics_.counter("dropped.unknown_host");
@@ -208,6 +212,12 @@ class SwdServer {
     /// (< 0 = no partial frame pending). A connection stalled mid-frame
     /// past read_deadline_seconds is reaped (slowloris defence).
     double frame_started_s = -1.0;
+    /// Reply bytes the socket has not taken yet; outbox_sent of them are
+    /// gone. A connection with a pending outbox is polled for POLLOUT only
+    /// and reaped when it makes no progress for read_deadline_seconds.
+    std::vector<std::uint8_t> outbox;
+    std::size_t outbox_sent = 0;
+    double outbox_progress_s = -1.0;  // last send progress (< 0 = none pending)
   };
 
   /// A parsed-and-admitted data-plane packet waiting for an execution slot
@@ -254,11 +264,19 @@ class SwdServer {
   /// Transmits the cycle's egress in emission order.
   void flush_egress();
   void accept_connection();
-  /// Reads what is available; closes the connection on EOF/protocol error.
+  /// Sends the pending reply, then reads what is available and dispatches
+  /// complete frames; closes the connection on EOF/protocol error.
   void service_connection(Connection& connection);
+  /// Executes one decoded control op, appending its results to `ok`; the
+  /// returned error is the op's one failure form.
+  runtime::Error execute_control(ControlOp op, ByteReader& reader, ByteWriter& ok);
+  /// Sends what the socket takes of the outbox without blocking; false when
+  /// the connection broke.
+  bool flush_outbox(Connection& connection);
+  void close_connection(Connection& connection);
   void accept_metrics_connection();
   /// Minimal HTTP/1.0 server: once the request's header block is in,
-  /// answers with the Prometheus exposition and closes.
+  /// answers with the Prometheus exposition and closes once it has left.
   void service_metrics_connection(Connection& connection);
   /// Prometheus text exposition of this daemon's registry and device
   /// stats (the body both --metrics-port and kMetricsText serve).

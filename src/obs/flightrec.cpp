@@ -10,6 +10,7 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace netcl::obs {
 
@@ -283,54 +284,22 @@ bool FlightRecorder::write_postmortem(const std::string& path_base,
   // Chrome trace: instant events, one pid lane per process stream, one
   // tid per ring, so chrome://tracing / Perfetto shows host and daemon
   // activity side by side on one timeline.
-  JsonWriter w;
-  w.begin_object();
-  w.key("traceEvents");
-  w.begin_array();
+  Tracer trace;
   for (std::size_t i = 0; i < names.size(); ++i) {
-    w.begin_object();
-    w.key("ph");
-    w.value("M");
-    w.key("name");
-    w.value("process_name");
-    w.key("pid");
-    w.value(static_cast<std::uint64_t>(i));
-    w.key("args");
-    w.begin_object();
-    w.key("name");
-    w.value(names[i]);
-    w.end_object();
-    w.end_object();
+    trace.set_process_name(static_cast<int>(i), names[i]);
   }
   for (const MergedEvent& m : merged) {
-    w.begin_object();
-    w.key("name");
-    w.value(to_string(static_cast<FlightKind>(m.event.kind)));
-    w.key("ph");
-    w.value("i");
-    w.key("s");
-    w.value("t");
-    w.key("ts");
-    w.value(static_cast<double>(m.ts_ns) / 1000.0);  // trace ts is in µs
-    w.key("pid");
-    w.value(static_cast<std::uint64_t>(m.stream));
-    w.key("tid");
-    w.value(static_cast<std::uint64_t>(m.event.ring));
-    w.key("args");
-    w.begin_object();
-    w.key("a");
-    w.value(m.event.a);
-    w.key("b");
-    w.value(m.event.b);
-    w.end_object();
-    w.end_object();
+    TraceEvent event;
+    event.name = to_string(static_cast<FlightKind>(m.event.kind));
+    event.category = "flight";
+    event.ts_us = static_cast<double>(m.ts_ns) / 1000.0;
+    event.instant = true;
+    event.pid = static_cast<int>(m.stream);
+    event.tid = m.event.ring;
+    event.args = {{"a", std::to_string(m.event.a)}, {"b", std::to_string(m.event.b)}};
+    trace.record_complete(std::move(event));
   }
-  w.end_array();
-  w.end_object();
-  std::ofstream trace(path_base + ".trace.json", std::ios::trunc);
-  if (!trace) return false;
-  trace << std::move(w).str() << '\n';
-  return trace.good();
+  return trace.write(path_base + ".trace.json");
 }
 
 std::string FlightRecorder::trigger_dump(std::string_view reason,

@@ -43,11 +43,17 @@ std::string Tracer::to_chrome_json() const {
     w.key("cat");
     w.value(event.category);
     w.key("ph");
-    w.value("X");
+    w.value(event.instant ? "i" : "X");
+    if (event.instant) {
+      w.key("s");
+      w.value("t");
+    }
     w.key("ts");
     w.value(event.ts_us);
-    w.key("dur");
-    w.value(event.dur_us);
+    if (!event.instant) {
+      w.key("dur");
+      w.value(event.dur_us);
+    }
     w.key("pid");
     w.value(event.pid);
     w.key("tid");

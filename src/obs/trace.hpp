@@ -16,7 +16,8 @@
 
 namespace netcl::obs {
 
-/// One completed ("ph":"X") trace event, in microseconds since the
+/// One completed ("ph":"X") trace event, or with `instant` set a
+/// thread-scoped instant ("ph":"i", no duration), in microseconds since the
 /// tracer's epoch (the unit Chrome's trace format expects). pid/tid group
 /// events into trace-viewer process/thread lanes — cross-process telemetry
 /// spans (ISSUE 4) use one pid per host and per device so a merged trace
@@ -26,6 +27,7 @@ struct TraceEvent {
   std::string category;
   double ts_us = 0.0;
   double dur_us = 0.0;
+  bool instant = false;
   int pid = 1;
   int tid = 1;
   std::vector<std::pair<std::string, std::string>> args;

@@ -59,4 +59,10 @@ struct Error {
   }
 };
 
+/// A device's refusal of `op` on `object` (an unknown memory or table, an
+/// index out of range), worded the same by an in-fabric device and netcl-swd.
+[[nodiscard]] inline Error refused(const std::string& op, const std::string& object) {
+  return {ErrorKind::kRejected, op + " '" + object + "' rejected by device"};
+}
+
 }  // namespace netcl::runtime

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <iostream>
 
-#include "net/sim_transport.hpp"
 #include "obs/flightrec.hpp"
 #include "support/diagnostics.hpp"
 
@@ -26,14 +25,6 @@ HostRuntime::HostRuntime(net::Transport& transport, std::uint16_t host_id)
 HostRuntime::HostRuntime(std::unique_ptr<net::Transport> transport, std::uint16_t host_id)
     : metrics_("host" + std::to_string(host_id)),
       owned_transport_(std::move(transport)),
-      transport_(owned_transport_.get()),
-      host_id_(host_id) {
-  attach();
-}
-
-HostRuntime::HostRuntime(sim::Fabric& fabric, std::uint16_t host_id)
-    : metrics_("host" + std::to_string(host_id)),
-      owned_transport_(std::make_unique<net::SimTransport>(fabric, host_id)),
       transport_(owned_transport_.get()),
       host_id_(host_id) {
   attach();
@@ -322,7 +313,8 @@ DeviceConnection::DeviceConnection(sim::Fabric& fabric, std::uint16_t device_id)
 DeviceConnection::DeviceConnection(const std::string& host, std::uint16_t control_port,
                                    const net::ControlClientOptions& options)
     : remote_(std::make_unique<net::ControlClient>(host, control_port, options)) {
-  if (!remote_->ping(device_id_)) remote_.reset();
+  PingInfo info;
+  if (!remote_->ping(device_id_, info.generation, info.device_clock_ns).ok()) remote_.reset();
 }
 
 DeviceConnection::~DeviceConnection() = default;
@@ -331,30 +323,28 @@ bool DeviceConnection::valid() const {
   return device_ != nullptr || (remote_ != nullptr && remote_->connected());
 }
 
-Error DeviceConnection::op_error(const std::string& what) const {
-  if (remote_ != nullptr) {
-    // The transport error, when one is pending, is the real cause; an op
-    // the daemon answered-and-refused leaves it empty.
-    if (Error err = remote_->last_error()) return err;
-    return {ErrorKind::kRejected, what + " rejected by device"};
+Error DeviceConnection::sim_unavailable(const char* op) const {
+  if (device_ == nullptr) {
+    return {ErrorKind::kDisconnected, std::string(op) + ": no device attached"};
   }
-  if (device_ == nullptr) return {ErrorKind::kDisconnected, what + ": no device attached"};
-  if (fabric_ != nullptr && fabric_->device_down(device_id_)) {
-    return {ErrorKind::kDeviceDown, what + ": device is down"};
+  if (fabric_->device_down(device_id_)) {
+    return {ErrorKind::kDeviceDown, std::string(op) + ": device is down"};
   }
-  return {ErrorKind::kRejected, what + " rejected by device"};
+  return {};
+}
+
+Error DeviceConnection::sim_result(bool ok, const char* op, const std::string& object) const {
+  if (ok) return {};
+  if (Error err = sim_unavailable(op)) return err;
+  return refused(op, object);
 }
 
 Error DeviceConnection::ping_e(PingInfo& info) {
   if (remote_ != nullptr) {
     std::uint16_t id = 0;
-    if (remote_->ping(id, info.generation, info.device_clock_ns)) return {};
-    return op_error("ping");
+    return remote_->ping(id, info.generation, info.device_clock_ns);
   }
-  if (fabric_ == nullptr || device_ == nullptr) {
-    return {ErrorKind::kDisconnected, "ping: no device attached"};
-  }
-  if (fabric_->device_down(device_id_)) return {ErrorKind::kDeviceDown, "ping: device is down"};
+  if (Error err = sim_unavailable("ping")) return err;
   info.generation = device_->generation();
   // Sim devices stamp hops in fabric time, which is also what a
   // SimTransport's now_ns() reports — one shared clock, offset zero by
@@ -363,26 +353,45 @@ Error DeviceConnection::ping_e(PingInfo& info) {
   return {};
 }
 
-Error DeviceConnection::last_error() const {
-  return remote_ != nullptr ? remote_->last_error() : Error{};
+Error DeviceConnection::write_cell(const std::string& name,
+                                   const std::vector<std::uint64_t>& indices,
+                                   std::uint64_t value) {
+  if (remote_ != nullptr) return remote_->managed_write(name, indices, value);
+  return sim_result(device_ != nullptr && device_->managed_write(name, indices, value),
+                    "managed_write", name);
+}
+
+Error DeviceConnection::insert_entry(const std::string& table, std::uint64_t lo,
+                                     std::uint64_t hi, std::uint64_t value) {
+  if (remote_ != nullptr) return remote_->insert(table, lo, hi, value);
+  return sim_result(device_ != nullptr && device_->lookup_insert(table, lo, hi, value),
+                    "insert into", table);
+}
+
+Error DeviceConnection::apply_group(std::uint16_t group,
+                                    const std::vector<std::uint16_t>& hosts) {
+  if (remote_ != nullptr) return remote_->set_multicast_group(group, hosts);
+  if (device_ != nullptr) {
+    std::vector<sim::NodeRef> members;
+    members.reserve(hosts.size());
+    for (const std::uint16_t host : hosts) members.push_back(sim::host_ref(host));
+    fabric_->set_multicast_group(device_id_, group, std::move(members));
+  }
+  return sim_result(device_ != nullptr, "set_multicast_group", std::to_string(group));
 }
 
 Error DeviceConnection::managed_write_e(const std::string& name, std::uint64_t value,
                                         const std::vector<std::uint64_t>& indices) {
-  const bool ok = remote_ != nullptr
-                      ? remote_->managed_write(name, indices, value)
-                      : device_ != nullptr && device_->managed_write(name, indices, value);
-  if (!ok) return op_error("managed_write '" + name + "'");
+  if (Error err = write_cell(name, indices, value)) return err;
   journal_writes_[{name, indices}] = value;
   return {};
 }
 
 Error DeviceConnection::managed_read_e(const std::string& name, std::uint64_t& out,
                                        const std::vector<std::uint64_t>& indices) {
-  const bool ok = remote_ != nullptr
-                      ? remote_->managed_read(name, indices, out)
-                      : device_ != nullptr && device_->managed_read(name, indices, out);
-  return ok ? Error{} : op_error("managed_read '" + name + "'");
+  if (remote_ != nullptr) return remote_->managed_read(name, indices, out);
+  return sim_result(device_ != nullptr && device_->managed_read(name, indices, out),
+                    "managed_read", name);
 }
 
 Error DeviceConnection::insert_e(const std::string& table, std::uint64_t key,
@@ -392,18 +401,17 @@ Error DeviceConnection::insert_e(const std::string& table, std::uint64_t key,
 
 Error DeviceConnection::insert_range_e(const std::string& table, std::uint64_t lo,
                                        std::uint64_t hi, std::uint64_t value) {
-  const bool ok = remote_ != nullptr
-                      ? remote_->insert(table, lo, hi, value)
-                      : device_ != nullptr && device_->lookup_insert(table, lo, hi, value);
-  if (!ok) return op_error("insert into '" + table + "'");
+  if (Error err = insert_entry(table, lo, hi, value)) return err;
   journal_inserts_[{table, lo, hi}] = value;
   return {};
 }
 
 Error DeviceConnection::remove_e(const std::string& table, std::uint64_t key) {
-  const bool ok = remote_ != nullptr ? remote_->remove(table, key)
-                                     : device_ != nullptr && device_->lookup_remove(table, key);
-  if (!ok) return op_error("remove from '" + table + "'");
+  Error err = remote_ != nullptr
+                  ? remote_->remove(table, key)
+                  : sim_result(device_ != nullptr && device_->lookup_remove(table, key),
+                               "remove from", table);
+  if (err) return err;
   // The device removes the entry covering `key`; forget journaled
   // entries the removal covered so resync does not resurrect them.
   std::erase_if(journal_inserts_, [&](const auto& entry) {
@@ -415,51 +423,28 @@ Error DeviceConnection::remove_e(const std::string& table, std::uint64_t key) {
 
 Error DeviceConnection::set_multicast_group_e(std::uint16_t group,
                                               const std::vector<std::uint16_t>& hosts) {
-  bool ok = false;
-  if (remote_ != nullptr) {
-    ok = remote_->set_multicast_group(group, hosts);
-  } else if (fabric_ != nullptr && device_ != nullptr) {
-    std::vector<sim::NodeRef> members;
-    members.reserve(hosts.size());
-    for (const std::uint16_t host : hosts) members.push_back(sim::host_ref(host));
-    fabric_->set_multicast_group(device_id_, group, std::move(members));
-    ok = true;
-  }
-  if (!ok) return op_error("set_multicast_group " + std::to_string(group));
+  if (Error err = apply_group(group, hosts)) return err;
   journal_groups_[group] = hosts;
   return {};
 }
 
 Error DeviceConnection::resync_e() {
   ++resyncs_;
-  bool ok = true;
-  // Replay straight through the underlying device/client, not the public
-  // methods — re-journaling what is already journaled would be harmless
-  // but remove()-during-replay bookkeeping is simpler to reason about this
-  // way.
+  // Replay straight through the device ops, not the public methods, so the
+  // journal is not rewritten while it is walked.
+  Error first;
+  const auto keep_first = [&first](Error err) {
+    if (err && first.ok()) first = std::move(err);
+  };
   for (const auto& [cell, value] : journal_writes_) {
-    const auto& [name, indices] = cell;
-    ok &= remote_ != nullptr ? remote_->managed_write(name, indices, value)
-                             : device_ != nullptr && device_->managed_write(name, indices, value);
+    keep_first(write_cell(cell.first, cell.second, value));
   }
   for (const auto& [range, value] : journal_inserts_) {
     const auto& [table, lo, hi] = range;
-    ok &= remote_ != nullptr ? remote_->insert(table, lo, hi, value)
-                             : device_ != nullptr && device_->lookup_insert(table, lo, hi, value);
+    keep_first(insert_entry(table, lo, hi, value));
   }
-  for (const auto& [group, hosts] : journal_groups_) {
-    if (remote_ != nullptr) {
-      ok &= remote_->set_multicast_group(group, hosts);
-    } else if (fabric_ != nullptr && device_ != nullptr) {
-      std::vector<sim::NodeRef> members;
-      members.reserve(hosts.size());
-      for (const std::uint16_t host : hosts) members.push_back(sim::host_ref(host));
-      fabric_->set_multicast_group(device_id_, group, std::move(members));
-    } else {
-      ok = false;
-    }
-  }
-  return ok ? Error{} : op_error("resync (some journal replays failed)");
+  for (const auto& [group, hosts] : journal_groups_) keep_first(apply_group(group, hosts));
+  return first;
 }
 
 Error DeviceConnection::load_or_swap(std::uint32_t tenant, const std::string& name,
@@ -467,26 +452,15 @@ Error DeviceConnection::load_or_swap(std::uint32_t tenant, const std::string& na
                                      const std::map<std::string, std::uint64_t>& defines,
                                      bool replace, std::uint16_t* stages,
                                      std::string* summary) {
-  const char* const what = replace ? "hot_swap_kernel" : "load_kernel";
   if (remote_ != nullptr) {
     return remote_->load_kernel(tenant, name, source, defines, replace, stages, summary);
   }
-  if (device_ == nullptr) return {ErrorKind::kDisconnected, std::string(what) + ": no device attached"};
-  if (fabric_ != nullptr && fabric_->device_down(device_id_)) {
-    return {ErrorKind::kDeviceDown, std::string(what) + ": device is down"};
+  if (Error err = sim_unavailable(replace ? "hot_swap_kernel" : "load_kernel")) return err;
+  std::uint16_t used = 0;
+  if (Error err = sim::install_kernel(*device_, compiler_, tenant, name, source, defines,
+                                      replace, used)) {
+    return err;
   }
-  if (!compiler_) {
-    return {ErrorKind::kRejected,
-            std::string(what) + ": connection has no kernel compiler installed "
-                                "(set_compiler with driver::artifact_compiler)"};
-  }
-  sim::ProgramArtifact artifact;
-  if (Error err = compiler_(source, defines, device_id_, artifact)) return err;
-  if (!name.empty()) artifact.name = name;
-  const std::uint16_t used = static_cast<std::uint16_t>(artifact.stages_used);
-  Error err = replace ? device_->swap_program(tenant, std::move(artifact))
-                      : device_->load_program(tenant, std::move(artifact));
-  if (err) return err;
   if (stages != nullptr) *stages = used;
   if (summary != nullptr) *summary = device_->admission().summary();
   return {};
@@ -514,50 +488,29 @@ Error DeviceConnection::hot_swap_kernel_e(std::uint32_t tenant, const std::strin
 
 Error DeviceConnection::unload_kernel_e(std::uint32_t tenant) {
   if (remote_ != nullptr) return remote_->unload_kernel(tenant);
-  if (device_ == nullptr) return {ErrorKind::kDisconnected, "unload_kernel: no device attached"};
-  if (fabric_ != nullptr && fabric_->device_down(device_id_)) {
-    return {ErrorKind::kDeviceDown, "unload_kernel: device is down"};
-  }
+  if (Error err = sim_unavailable("unload_kernel")) return err;
   return device_->unload_program(tenant);
 }
 
-Error DeviceConnection::list_kernels_e(std::vector<net::KernelInfo>& out) {
-  out.clear();
+Error DeviceConnection::list_kernels_e(std::vector<sim::TenantInfo>& out) {
   if (remote_ != nullptr) return remote_->list_kernels(out);
-  if (device_ == nullptr) return {ErrorKind::kDisconnected, "list_kernels: no device attached"};
-  for (const sim::TenantInfo& info : device_->tenant_table()) {
-    net::KernelInfo entry;
-    entry.tenant = info.id;
-    entry.name = info.name;
-    entry.stages_used = static_cast<std::uint16_t>(info.stages_used);
-    entry.computations.reserve(info.computations.size());
-    for (const int comp : info.computations) {
-      entry.computations.push_back(static_cast<std::uint32_t>(comp));
-    }
-    entry.usage = info.usage;
-    entry.packets_processed = info.stats.packets_processed;
-    entry.kernels_executed = info.stats.kernels_executed;
-    entry.drops_action = info.stats.drops_action;
-    out.push_back(std::move(entry));
-  }
+  if (device_ == nullptr) return sim_unavailable("list_kernels");
+  out = device_->tenant_table();
   return {};
 }
 
-const sim::DeviceStats* DeviceConnection::stats() {
-  if (remote_ != nullptr) {
-    return remote_->stats(remote_stats_) ? &remote_stats_ : nullptr;
-  }
-  return device_ == nullptr ? nullptr : &device_->stats;
+Error DeviceConnection::stats_e(sim::DeviceStats& out) {
+  if (remote_ != nullptr) return remote_->stats(out);
+  if (device_ == nullptr) return sim_unavailable("stats");
+  out = device_->stats;
+  return {};
 }
 
-std::map<std::string, sim::RegisterAccess> DeviceConnection::register_access() const {
-  if (remote_ != nullptr) {
-    std::map<std::string, sim::RegisterAccess> access;
-    return remote_->register_access(access) ? access
-                                            : std::map<std::string, sim::RegisterAccess>{};
-  }
-  return device_ == nullptr ? std::map<std::string, sim::RegisterAccess>{}
-                            : device_->register_access();
+Error DeviceConnection::register_access_e(std::map<std::string, sim::RegisterAccess>& out) {
+  if (remote_ != nullptr) return remote_->register_access(out);
+  if (device_ == nullptr) return sim_unavailable("register_access");
+  out = device_->register_access();
+  return {};
 }
 
 }  // namespace netcl::runtime

@@ -86,9 +86,6 @@ class HostRuntime {
   /// Takes ownership of a transport — the natural pairing with
   /// net::make_transport(uri) (ISSUE 5). The transport must be non-null.
   HostRuntime(std::unique_ptr<net::Transport> transport, std::uint16_t host_id);
-  /// Convenience: attaches to the simulated fabric through an owned
-  /// SimTransport (the pre-ISSUE-2 constructor, behavior-preserving).
-  HostRuntime(sim::Fabric& fabric, std::uint16_t host_id);
 
   [[nodiscard]] std::uint16_t host_id() const { return host_id_; }
   [[nodiscard]] net::Transport& transport() { return *transport_; }
@@ -272,11 +269,11 @@ struct PingInfo {
 /// resync() can replay the journal and restore the device to the state the
 /// host had offloaded — the control-plane half of failover recovery.
 ///
-/// Error reporting (ISSUE 5): every operation has two forms. The `*_e()`
-/// form returns a typed runtime::Error — kTimeout / kDisconnected for
-/// transport failures, kDeviceDown while the device is crashed, kRejected
-/// when the device answered and refused the op. The bool form is a
-/// one-line wrapper (`err.ok()`) kept for call sites that only branch.
+/// Every operation returns a typed runtime::Error (empty = success), the
+/// same kind whichever device answers: kTimeout / kDisconnected for
+/// transport failures, kDeviceDown while an in-fabric device is crashed,
+/// kRejected when the device answered and refused the op, kMalformed for
+/// bytes that did not decode.
 class DeviceConnection {
  public:
   /// In-fabric device.
@@ -295,10 +292,6 @@ class DeviceConnection {
   /// telemetry clock). Sim devices are unreachable while the fabric has
   /// them crashed. This is what a FailureDetector's ProbeFn should call.
   [[nodiscard]] Error ping_e(PingInfo& info);
-  bool ping(PingInfo& info) { return ping_e(info).ok(); }
-  /// Last transport-level failure from the remote control client (empty
-  /// for sim devices, which cannot time out).
-  [[nodiscard]] Error last_error() const;
 
   /// ncl::managed_write / ncl::managed_read. Indices address the memory as
   /// declared in the NetCL source (partitioning renames are transparent).
@@ -306,14 +299,6 @@ class DeviceConnection {
                                       const std::vector<std::uint64_t>& indices = {});
   [[nodiscard]] Error managed_read_e(const std::string& name, std::uint64_t& out,
                                      const std::vector<std::uint64_t>& indices = {});
-  bool managed_write(const std::string& name, std::uint64_t value,
-                     const std::vector<std::uint64_t>& indices = {}) {
-    return managed_write_e(name, value, indices).ok();
-  }
-  bool managed_read(const std::string& name, std::uint64_t& out,
-                    const std::vector<std::uint64_t>& indices = {}) {
-    return managed_read_e(name, out, indices).ok();
-  }
 
   /// _managed_ _lookup_ entry management (insert replaces same-key entries).
   [[nodiscard]] Error insert_e(const std::string& table, std::uint64_t key,
@@ -321,38 +306,24 @@ class DeviceConnection {
   [[nodiscard]] Error insert_range_e(const std::string& table, std::uint64_t lo,
                                      std::uint64_t hi, std::uint64_t value);
   [[nodiscard]] Error remove_e(const std::string& table, std::uint64_t key);
-  bool insert(const std::string& table, std::uint64_t key, std::uint64_t value) {
-    return insert_e(table, key, value).ok();
-  }
-  bool insert_range(const std::string& table, std::uint64_t lo, std::uint64_t hi,
-                    std::uint64_t value) {
-    return insert_range_e(table, lo, hi, value).ok();
-  }
-  bool remove(const std::string& table, std::uint64_t key) {
-    return remove_e(table, key).ok();
-  }
 
   /// Configures a multicast group on the device (fabric groups for sim
   /// devices; learned-endpoint groups on a netcl-swd daemon).
   [[nodiscard]] Error set_multicast_group_e(std::uint16_t group,
                                             const std::vector<std::uint16_t>& hosts);
-  bool set_multicast_group(std::uint16_t group, const std::vector<std::uint16_t>& hosts) {
-    return set_multicast_group_e(group, hosts).ok();
-  }
 
   /// Telemetry read-back over the control plane: the device's packet /
-  /// drop / per-stage counters and per-register-array access totals. The
-  /// pointer stays valid until the next stats() call.
-  [[nodiscard]] const sim::DeviceStats* stats();
-  [[nodiscard]] std::map<std::string, sim::RegisterAccess> register_access() const;
+  /// drop / per-stage counters and per-register-array access totals.
+  [[nodiscard]] Error stats_e(sim::DeviceStats& out);
+  [[nodiscard]] Error register_access_e(std::map<std::string, sim::RegisterAccess>& out);
 
   /// Replays the journal of managed writes, lookup entries, and multicast
   /// groups against the device — called after a restart (new generation)
-  /// restored it to compiled-in defaults. True when every replay landed.
-  /// Only control-plane state is restorable this way; register state the
-  /// kernels accumulated internally is genuinely lost.
+  /// restored it to compiled-in defaults. Fails with the first replay that
+  /// did not land, after trying them all. Only control-plane state is
+  /// restorable this way; register state the kernels accumulated internally
+  /// is genuinely lost.
   [[nodiscard]] Error resync_e();
-  bool resync() { return resync_e().ok(); }
   [[nodiscard]] std::uint64_t resyncs() const { return resyncs_; }
 
   // --- multi-tenant kernel lifecycle (ISSUE 7) ------------------------------
@@ -371,7 +342,7 @@ class DeviceConnection {
                                     std::uint16_t* stages = nullptr,
                                     std::string* summary = nullptr);
   [[nodiscard]] Error unload_kernel_e(std::uint32_t tenant);
-  [[nodiscard]] Error list_kernels_e(std::vector<net::KernelInfo>& out);
+  [[nodiscard]] Error list_kernels_e(std::vector<sim::TenantInfo>& out);
   /// Hitless swap (drain -> swap -> replay): replaces the resident tenant's
   /// program, then resyncs the journal so managed state the host offloaded
   /// survives the new program's fresh register file. Co-resident tenants
@@ -381,10 +352,6 @@ class DeviceConnection {
                                         const std::map<std::string, std::uint64_t>& defines = {},
                                         std::uint16_t* stages = nullptr,
                                         std::string* summary = nullptr);
-  bool load_kernel(std::uint32_t tenant, const std::string& name, const std::string& source) {
-    return load_kernel_e(tenant, name, source).ok();
-  }
-  bool unload_kernel(std::uint32_t tenant) { return unload_kernel_e(tenant).ok(); }
 
  private:
   /// Shared body of load_kernel_e / hot_swap_kernel_e (the `replace` bit).
@@ -393,16 +360,23 @@ class DeviceConnection {
                                    const std::map<std::string, std::uint64_t>& defines,
                                    bool replace, std::uint16_t* stages,
                                    std::string* summary);
-  /// The typed error for a failed op: the remote client's transport error
-  /// when one is pending, kDeviceDown for a crashed sim device,
-  /// kDisconnected with no device at all, else kRejected.
-  [[nodiscard]] Error op_error(const std::string& what) const;
+  // The device ops without journaling, shared by the public ops and resync.
+  [[nodiscard]] Error write_cell(const std::string& name,
+                                 const std::vector<std::uint64_t>& indices, std::uint64_t value);
+  [[nodiscard]] Error insert_entry(const std::string& table, std::uint64_t lo, std::uint64_t hi,
+                                   std::uint64_t value);
+  [[nodiscard]] Error apply_group(std::uint16_t group, const std::vector<std::uint16_t>& hosts);
+  /// Why an in-fabric op cannot run: kDisconnected with no device at all,
+  /// kDeviceDown for a crashed device, else empty.
+  [[nodiscard]] Error sim_unavailable(const char* op) const;
+  /// An in-fabric op's outcome: empty when `ok`, else the device's refusal
+  /// of `op` on `object` (or why the device could not answer).
+  [[nodiscard]] Error sim_result(bool ok, const char* op, const std::string& object) const;
   sim::Fabric* fabric_ = nullptr;          // sim mode
   sim::SwitchDevice* device_ = nullptr;    // sim mode
   std::unique_ptr<net::ControlClient> remote_;  // netcl-swd mode
   sim::ProgramCompiler compiler_;          // sim-mode kernel loads
   std::uint16_t device_id_ = 0;
-  sim::DeviceStats remote_stats_;
   // Resync journal: last value per managed cell / key range / group.
   std::map<std::pair<std::string, std::vector<std::uint64_t>>, std::uint64_t>
       journal_writes_;

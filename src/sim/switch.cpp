@@ -96,6 +96,21 @@ Error SwitchDevice::load_program(TenantId tenant_id, ProgramArtifact artifact) {
   return {};
 }
 
+Error install_kernel(SwitchDevice& device, const ProgramCompiler& compiler, TenantId tenant,
+                     const std::string& name, const std::string& source,
+                     const std::map<std::string, std::uint64_t>& defines, bool replace,
+                     std::uint16_t& stages) {
+  if (!compiler) {
+    return {ErrorKind::kRejected, "no kernel compiler installed (driver::artifact_compiler)"};
+  }
+  ProgramArtifact artifact;
+  if (Error err = compiler(source, defines, device.device_id(), artifact)) return err;
+  if (!name.empty()) artifact.name = name;
+  stages = static_cast<std::uint16_t>(artifact.stages_used);
+  return replace ? device.swap_program(tenant, std::move(artifact))
+                 : device.load_program(tenant, std::move(artifact));
+}
+
 Error SwitchDevice::unload_program(TenantId tenant_id) {
   const auto it = tenants_.find(tenant_id);
   if (it == tenants_.end()) {

@@ -54,7 +54,7 @@ struct StepOutcome {
 /// (drops/multicasts) as it applies the kernel's decision; the fabric and
 /// the daemon fill the forwarding-side ones (transits, recirculations).
 /// The host runtime reads them over the control plane via
-/// runtime::DeviceConnection::stats(). Each tenant additionally keeps its
+/// runtime::DeviceConnection::stats_e(). Each tenant additionally keeps its
 /// own copy (execution-side counters plus the action outcomes its kernels
 /// chose), so co-resident programs are individually observable.
 struct DeviceStats {
@@ -274,5 +274,16 @@ class SwitchDevice {
   std::uint32_t generation_ = 1;
   p4::LatencyModel latency_;
 };
+
+/// Compiles `source` with `compiler` and installs it on `device` as
+/// `tenant`: a fresh load, or with `replace` a hitless swap of the resident
+/// program. A non-empty `name` overrides the artifact's label; `stages`
+/// receives the program's stage count. The one kernel-install path behind
+/// the daemon's kLoadKernel and an in-fabric DeviceConnection.
+[[nodiscard]] runtime::Error install_kernel(SwitchDevice& device, const ProgramCompiler& compiler,
+                                            TenantId tenant, const std::string& name,
+                                            const std::string& source,
+                                            const std::map<std::string, std::uint64_t>& defines,
+                                            bool replace, std::uint16_t& stages);
 
 }  // namespace netcl::sim

@@ -4,7 +4,9 @@
 // already-deframed request payload (what a connected attacker fully
 // controls after the frame header). The dispatcher must always answer —
 // one response whose status byte is kControlOk or kControlError — and
-// never crash, whatever the bytes. The frame-header classifier is run
+// never crash, whatever the bytes. Every kControlError response carries
+// the one failure body: a real ErrorKind (never kNone) and a non-empty
+// message. The frame-header classifier is run
 // over the same input too (kNeedMore / kFrame / kMalformed are the only
 // outcomes, and an accepted length never exceeds kMaxControlFrame).
 //
@@ -14,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/control.hpp"
@@ -57,6 +60,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   if (response.empty()) __builtin_trap();
   if (response[0] != netcl::net::kControlOk && response[0] != netcl::net::kControlError) {
     __builtin_trap();
+  }
+  if (response[0] == netcl::net::kControlError) {
+    netcl::net::ByteReader body(std::span<const std::uint8_t>(response).subspan(1));
+    const auto kind = static_cast<netcl::runtime::ErrorKind>(body.u8());
+    const std::string message = body.str();
+    if (!body.ok() || kind == netcl::runtime::ErrorKind::kNone || message.empty()) {
+      __builtin_trap();
+    }
   }
 
   netcl::net::ByteReader reader(input);

@@ -598,7 +598,7 @@ std::vector<std::vector<std::uint8_t>> run_calc_ops(bool batched) {
   const KernelSpec spec = compiled.specs.at(1);
   sim::Fabric fabric(11);
   fabric.add_device(driver::make_device(std::move(compiled), 1));
-  HostRuntime host(fabric, 1);
+  HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
   host.register_spec(1, spec);
   fabric.connect(sim::host_ref(1), sim::device_ref(1));
 

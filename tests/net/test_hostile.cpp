@@ -16,10 +16,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -32,6 +34,7 @@
 #include "net/policer.hpp"
 #include "net/swd_server.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/error.hpp"
 #include "segmented_sender.hpp"
 #include "sim/switch.hpp"
@@ -435,7 +438,9 @@ TEST(Overload, ControlGarbageGetsTypedErrorThenClose) {
   // The perimeter is per-connection: a well-behaved client still works.
   ControlClient client("127.0.0.1", server.control_port());
   std::uint16_t device_id = 0;
-  EXPECT_TRUE(client.ping(device_id));
+  std::uint32_t generation = 0;
+  std::uint64_t device_clock_ns = 0;
+  EXPECT_TRUE(client.ping(device_id, generation, device_clock_ns).ok());
   EXPECT_EQ(device_id, 1);
 
   server.stop();
@@ -489,6 +494,93 @@ TEST(Overload, SlowReadConnectionReapedOnDeadline) {
   server.stop();
   serving.join();
   EXPECT_EQ(server.connections_reaped_slow.value(), 1u);
+}
+
+/// A client with a 4 KiB receive buffer and a small segment size, both set
+/// before connect: the advertised window stays small, and so does the send
+/// buffer the daemon's kernel sizes from the segment size.
+int connect_non_reader(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  const int rcvbuf = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  const int mss = 536;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_MAXSEG, &mss, sizeof(mss));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
+
+/// Drives `server` from this thread, pushing `bytes` into `fd` as the
+/// socket takes them, until the server reaps a stalled connection or 3 s
+/// pass. Returns the longest single poll_once in milliseconds.
+double worst_poll_ms_until_reaped(SwdServer& server, int fd, const Bytes& bytes) {
+  using Clock = std::chrono::steady_clock;
+  std::size_t sent = 0;
+  double worst_ms = 0.0;
+  const auto start = Clock::now();
+  while (server.connections_reaped_slow.value() == 0 &&
+         Clock::now() - start < std::chrono::seconds(3)) {
+    if (sent < bytes.size()) {
+      const ssize_t w = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                               MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (w > 0) sent += static_cast<std::size_t>(w);
+    }
+    const auto before = Clock::now();
+    server.poll_once(10);
+    worst_ms = std::max(
+        worst_ms, std::chrono::duration<double, std::milli>(Clock::now() - before).count());
+  }
+  return worst_ms;
+}
+
+TEST(Overload, ControlClientThatNeverReadsDoesNotStallThePollLoop) {
+  // 4,000 pipelined kMetricsText requests whose replies the client never
+  // reads: the replies back up into the daemon's outbox, which must not
+  // block the one data-plane thread; the stalled outbox is reaped on the
+  // read deadline.
+  KernelSpec spec1, spec2;
+  SwdOptions options;
+  options.read_deadline_seconds = 0.3;
+  SwdServer server(two_tenant_device(spec1, spec2), options);
+  ASSERT_TRUE(server.valid()) << server.error();
+
+  const int fd = connect_non_reader(server.control_port());
+  Bytes requests;
+  for (std::uint64_t id = 1; id <= 4000; ++id) {
+    append_frame(requests,
+                 control_request(static_cast<std::uint8_t>(ControlOp::kMetricsText), id));
+  }
+  const double worst_ms = worst_poll_ms_until_reaped(server, fd, requests);
+  ::close(fd);
+  EXPECT_LT(worst_ms, 100.0);
+  EXPECT_EQ(server.connections_reaped_slow.value(), 1u);
+  EXPECT_GT(server.control_requests.value(), 0u);
+}
+
+TEST(Overload, ScrapeClientThatNeverReadsDoesNotStallThePollLoop) {
+  // An exposition far larger than the socket buffers, scraped by a client
+  // that never reads it.
+  obs::MetricsRegistry bulk("hostile.bulk");
+  for (int i = 0; i < 5000; ++i) bulk.counter("series_" + std::to_string(i)).inc();
+  KernelSpec spec1, spec2;
+  SwdOptions options;
+  options.metrics_port = 0;
+  options.read_deadline_seconds = 0.3;
+  SwdServer server(two_tenant_device(spec1, spec2), options);
+  ASSERT_TRUE(server.valid()) << server.error();
+
+  const int fd = connect_non_reader(server.metrics_port());
+  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+  const double worst_ms =
+      worst_poll_ms_until_reaped(server, fd, Bytes(request.begin(), request.end()));
+  ::close(fd);
+  EXPECT_LT(worst_ms, 100.0);
+  EXPECT_EQ(server.connections_reaped_slow.value(), 1u);
+  EXPECT_EQ(server.metrics_scrapes.value(), 1u);
 }
 
 TEST(Overload, KernelSourceLengthBombRejectedBeforeAllocation) {

@@ -211,7 +211,7 @@ TEST(SwdServer, CalcMatchesSimulatedFabric) {
     driver::CompileResult sim_compiled = compile_calc(1);
     sim::Fabric fabric(3);
     fabric.add_device(driver::make_device(std::move(sim_compiled), 1));
-    HostRuntime host(fabric, 1);
+    HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
     host.register_spec(1, spec);
     fabric.connect(sim::host_ref(1), sim::device_ref(1));
     host.on_receive([&](const Message&, ArgValues& args) {
@@ -300,10 +300,10 @@ TEST(SwdServer, ControlPlaneThroughDeviceConnection) {
   EXPECT_TRUE(connection.remove_e("cache", 5).ok());
   EXPECT_TRUE(connection.set_multicast_group_e(42, {1, 2}).ok());
 
-  const sim::DeviceStats* stats = connection.stats();
-  ASSERT_NE(stats, nullptr);
-  EXPECT_GE(stats->control_writes, 2u);
-  EXPECT_GE(stats->control_reads, 1u);
+  sim::DeviceStats stats;
+  ASSERT_TRUE(connection.stats_e(stats).ok());
+  EXPECT_GE(stats.control_writes, 2u);
+  EXPECT_GE(stats.control_reads, 1u);
 
   server.stop();
   serving.join();
@@ -466,9 +466,12 @@ TEST(ControlClient, ConnectToBlackholeIsBoundedByDeadline) {
   const auto start = std::chrono::steady_clock::now();
   ControlClient client("192.0.2.1", 9, tight_options());
   std::uint16_t device_id = 0;
-  EXPECT_FALSE(client.ping(device_id));
+  std::uint32_t generation = 0;
+  std::uint64_t device_clock_ns = 0;
+  const runtime::Error err = client.ping(device_id, generation, device_clock_ns);
+  EXPECT_FALSE(err.ok());
   EXPECT_LT(wall_ms_since(start), 5000.0);
-  EXPECT_TRUE(client.last_error());
+  EXPECT_TRUE(err);
 }
 
 TEST(ControlClient, RequestDeadlineAgainstSilentServer) {
@@ -487,12 +490,41 @@ TEST(ControlClient, RequestDeadlineAgainstSilentServer) {
   const auto start = std::chrono::steady_clock::now();
   ControlClient client("127.0.0.1", ntohs(addr.sin_port), tight_options());
   std::uint16_t device_id = 0;
-  EXPECT_FALSE(client.ping(device_id));
+  std::uint32_t generation = 0;
+  std::uint64_t device_clock_ns = 0;
+  const runtime::Error err = client.ping(device_id, generation, device_clock_ns);
+  EXPECT_FALSE(err.ok());
   // Two attempts (max_retries = 1) of 250 ms each plus backoff.
   EXPECT_LT(wall_ms_since(start), 5000.0);
-  EXPECT_EQ(client.last_error().kind, runtime::ErrorKind::kTimeout)
-      << client.last_error().to_string();
+  EXPECT_EQ(err.kind, runtime::ErrorKind::kTimeout) << err.to_string();
   ::close(listen_fd);
+}
+
+TEST(ControlClient, BareErrorReplyIsMalformed) {
+  // A daemon that answers with a bare kControlError status byte, with no
+  // typed body behind it, is speaking a broken protocol: the client
+  // reports kMalformed, and does not retry.
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listen_fd, 8), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  std::thread daemon([listen_fd] {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    std::vector<std::uint8_t> request;
+    if (fd >= 0 && read_frame(fd, request)) write_frame(fd, {kControlError});
+    if (fd >= 0) ::close(fd);
+  });
+
+  ControlClient client("127.0.0.1", ntohs(addr.sin_port), tight_options());
+  const runtime::Error err = client.unload_kernel(1);
+  daemon.join();
+  ::close(listen_fd);
+  EXPECT_EQ(err.kind, runtime::ErrorKind::kMalformed) << err.to_string();
 }
 
 driver::CompileResult compile_managed(std::uint16_t device_id) {
@@ -571,7 +603,7 @@ TEST(SwdServer, CrashRestartBumpsGenerationAndResyncRestoresState) {
   DeviceConnection connection("127.0.0.1", server.control_port(), tight_options());
   ASSERT_TRUE(connection.valid());
   runtime::PingInfo ping_before;
-  ASSERT_TRUE(connection.ping(ping_before));
+  ASSERT_TRUE(connection.ping_e(ping_before).ok());
   const std::uint32_t generation_before = ping_before.generation;
   EXPECT_TRUE(connection.managed_write_e("thresh", 500).ok());
   EXPECT_TRUE(connection.insert_e("cache", 5, 1234).ok());
@@ -583,19 +615,21 @@ TEST(SwdServer, CrashRestartBumpsGenerationAndResyncRestoresState) {
   server.inject_crash();
   const auto crash_start = std::chrono::steady_clock::now();
   std::uint64_t value = 0;
-  bool request_failed = false;
-  while (!request_failed && wall_ms_since(crash_start) < 5000.0) {
-    request_failed = !connection.managed_read_e("thresh", value).ok();
+  runtime::Error failure;
+  while (failure.ok() && wall_ms_since(crash_start) < 5000.0) {
+    failure = connection.managed_read_e("thresh", value);
   }
-  EXPECT_TRUE(request_failed);
-  EXPECT_TRUE(connection.last_error());
+  // A transport failure, not a daemon refusal.
+  EXPECT_TRUE(failure.kind == runtime::ErrorKind::kTimeout ||
+              failure.kind == runtime::ErrorKind::kDisconnected)
+      << failure.to_string();
 
   // Restart: the "new process" answers again, with a bumped generation and
   // compiled-in defaults — the offloaded 500 is gone until resync.
   server.inject_restart();
   runtime::PingInfo ping_after;
   const auto restart_start = std::chrono::steady_clock::now();
-  while (!connection.ping(ping_after) && wall_ms_since(restart_start) < 5000.0) {
+  while (!connection.ping_e(ping_after).ok() && wall_ms_since(restart_start) < 5000.0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   const std::uint32_t generation_after = ping_after.generation;
@@ -664,7 +698,7 @@ TEST(SwdServer, HostExecuteFallbackIsByteIdenticalOverRealUdp) {
   {
     sim::Fabric fabric(3);
     fabric.add_device(driver::make_device(compile_calc(1), 1));
-    HostRuntime host(fabric, 1);
+    HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
     host.register_spec(1, spec);
     fabric.connect(sim::host_ref(1), sim::device_ref(1));
     host.on_receive([&](const Message&, ArgValues& args) {
@@ -709,7 +743,7 @@ TEST(SwdServer, HostExecuteFallbackIsByteIdenticalOverRealUdp) {
       [&] {
         runtime::FailureDetector::ProbeResult result;
         runtime::PingInfo info;
-        result.reachable = probe_connection.ping(info);
+        result.reachable = probe_connection.ping_e(info).ok();
         result.generation = info.generation;
         return result;
       },
@@ -824,7 +858,7 @@ TEST(DeviceStep, FabricDaemonAndFallbackAgree) {
     sim::Fabric fabric(3);
     fabric.add_device(driver::make_device(compile_calc(1), 1));
     fabric.connect(sim::host_ref(1), sim::device_ref(1));
-    HostRuntime host(fabric, 1);
+    HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
     fabric_seen = drive_step_cases(host, spec, [&] { fabric.run(); });
     fabric_counts = step_counts(fabric.device(1)->stats);
   }
@@ -861,7 +895,7 @@ TEST(DeviceStep, FabricDaemonAndFallbackAgree) {
     sim::Fabric fabric(3);
     fabric.add_device(driver::make_device(compile_calc(1), 1));
     fabric.connect(sim::host_ref(1), sim::device_ref(1));
-    HostRuntime host(fabric, 1);
+    HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
     DeviceConnection connection(fabric, 1);
     runtime::FailureDetector::Config config;
     config.interval_ns = 1000.0;
@@ -871,7 +905,7 @@ TEST(DeviceStep, FabricDaemonAndFallbackAgree) {
         [&] {
           runtime::FailureDetector::ProbeResult result;
           runtime::PingInfo info;
-          result.reachable = connection.ping(info);
+          result.reachable = connection.ping_e(info).ok();
           result.generation = info.generation;
           return result;
         },
@@ -907,7 +941,7 @@ TEST(SimTransport, PartitionedLinkDropsButNeverBlocks) {
   const KernelSpec spec = compiled.specs.at(1);
   sim::Fabric fabric(3);
   fabric.add_device(driver::make_device(std::move(compiled), 1));
-  HostRuntime host(fabric, 1);
+  HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
   host.register_spec(1, spec);
   fabric.connect(sim::host_ref(1), sim::device_ref(1));
   bool answered = false;

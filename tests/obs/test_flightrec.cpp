@@ -214,7 +214,7 @@ TEST(FlightRecorder, PartitionLeavesOrderedHeartbeatTrail) {
       [&connection] {
         runtime::FailureDetector::ProbeResult result;
         runtime::PingInfo info;
-        result.reachable = connection.ping(info);
+        result.reachable = connection.ping_e(info).ok();
         result.generation = info.generation;
         return result;
       },
@@ -297,10 +297,12 @@ TEST(FlightDump, ControlOpShipsClockAlignedDaemonEvents) {
   // Prime the daemon's rings: the control round trips themselves record
   // events on the serving thread (kPollCycle at minimum).
   std::uint16_t device_id = 0;
-  ASSERT_TRUE(control.ping(device_id));
+  std::uint32_t generation = 0;
+  std::uint64_t device_clock_ns = 0;
+  ASSERT_TRUE(control.ping(device_id, generation, device_clock_ns).ok());
 
   net::ControlClient::FlightDumpResult result;
-  ASSERT_TRUE(control.flight_dump(/*window_seconds=*/0, result));
+  ASSERT_TRUE(control.flight_dump(/*window_seconds=*/0, result).ok());
   server.stop();
   serving.join();
 

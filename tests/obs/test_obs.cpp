@@ -3,6 +3,7 @@
 #include <string>
 
 #include "driver/compiler.hpp"
+#include "net/sim_transport.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -312,7 +313,7 @@ _kernel(1) _at(1) void echo(uint32_t a, uint32_t &b) {
 
   constexpr int kQueries = 32;
   sim::Fabric fabric;
-  runtime::HostRuntime host(fabric, 1);
+  runtime::HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
   host.register_spec(1, spec);
   fabric.add_device(driver::make_device(std::move(compiled), 1));
   fabric.connect(sim::host_ref(1), sim::device_ref(1));
@@ -353,21 +354,21 @@ _kernel(1) _at(1) void echo(uint32_t a, uint32_t &b) {
             static_cast<std::uint64_t>(kQueries));
 
   // Device telemetry over the control plane.
-  const sim::DeviceStats* stats = control.stats();
-  ASSERT_NE(stats, nullptr);
-  EXPECT_EQ(stats->packets_processed, static_cast<std::uint64_t>(kQueries));
-  EXPECT_EQ(stats->kernels_executed, static_cast<std::uint64_t>(kQueries));
-  EXPECT_EQ(stats->no_kernel, 0u);
-  EXPECT_EQ(stats->drops_action, 0u);
-  ASSERT_FALSE(stats->stage_executions.empty());
+  sim::DeviceStats stats;
+  ASSERT_TRUE(control.stats_e(stats).ok());
+  EXPECT_EQ(stats.packets_processed, static_cast<std::uint64_t>(kQueries));
+  EXPECT_EQ(stats.kernels_executed, static_cast<std::uint64_t>(kQueries));
+  EXPECT_EQ(stats.no_kernel, 0u);
+  EXPECT_EQ(stats.drops_action, 0u);
+  ASSERT_FALSE(stats.stage_executions.empty());
   std::uint64_t stage_total = 0;
-  for (const std::uint64_t n : stats->stage_executions) stage_total += n;
+  for (const std::uint64_t n : stats.stage_executions) stage_total += n;
   EXPECT_GT(stage_total, 0u);
 }
 
 TEST(EndToEnd, DropAccounting) {
   sim::Fabric fabric;
-  runtime::HostRuntime host(fabric, 1);
+  runtime::HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
   // Send with no registered spec: counted, not silently swallowed.
   host.send(runtime::Message(1, 2, 7, 1), {});
   EXPECT_EQ(host.dropped_unregistered_send, 1u);

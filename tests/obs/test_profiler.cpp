@@ -201,7 +201,7 @@ TEST(ProfileDump, ControlOpOverTcpReturnsTextAndWritesFile) {
   net::ControlClient control("127.0.0.1", server.control_port());
   net::ControlClient::ProfileDumpResult result;
   ASSERT_TRUE(
-      control.profile_dump(net::kProfileWriteFile | net::kProfileReturnText, result));
+      control.profile_dump(net::kProfileWriteFile | net::kProfileReturnText, result).ok());
   server.stop();
   serving.join();
   profiler.stop();
@@ -229,7 +229,7 @@ TEST(ProfileDump, ControlOpWithoutFlagsReportsStateOnly) {
 
   net::ControlClient control("127.0.0.1", server.control_port());
   net::ControlClient::ProfileDumpResult result;
-  ASSERT_TRUE(control.profile_dump(0, result));
+  ASSERT_TRUE(control.profile_dump(0, result).ok());
   server.stop();
   serving.join();
 

@@ -61,7 +61,7 @@ TEST(Message, PackUnpackRoundTrip) {
 
 TEST(HostRuntime, SendWithoutSpecIsDropped) {
   sim::Fabric fabric;
-  HostRuntime host(fabric, 1);
+  HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
   host.send(Message(1, 2, 1, 1), {});
   EXPECT_EQ(host.sent, 0u);
 }
@@ -69,8 +69,8 @@ TEST(HostRuntime, SendWithoutSpecIsDropped) {
 TEST(HostRuntime, SrcIsForcedToOwnId) {
   const KernelSpec spec = spec_of("unsigned a");
   sim::Fabric fabric;
-  HostRuntime alice(fabric, 1);
-  HostRuntime bob(fabric, 2);
+  HostRuntime alice(std::make_unique<net::SimTransport>(fabric, 1), 1);
+  HostRuntime bob(std::make_unique<net::SimTransport>(fabric, 2), 2);
   alice.register_spec(1, spec);
   bob.register_spec(1, spec);
   fabric.connect(sim::host_ref(1), sim::host_ref(2));
@@ -86,7 +86,7 @@ TEST(HostRuntime, ExplicitTransportBehavesLikeFabricCtor) {
   sim::Fabric fabric;
   net::SimTransport transport(fabric, 1);
   HostRuntime alice(transport, 1);
-  HostRuntime bob(fabric, 2);
+  HostRuntime bob(std::make_unique<net::SimTransport>(fabric, 2), 2);
   alice.register_spec(1, spec);
   bob.register_spec(1, spec);
   fabric.connect(sim::host_ref(1), sim::host_ref(2));
@@ -101,7 +101,8 @@ TEST(HostRuntime, ExplicitTransportBehavesLikeFabricCtor) {
 TEST(HostRuntime, StaleRoundTripsExpireAtCap) {
   const KernelSpec spec = spec_of("unsigned a");
   sim::Fabric fabric;
-  HostRuntime host(fabric, 1);  // host 2 is unreachable: no replies ever
+  // Host 2 is unreachable: no replies ever.
+  HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
   host.register_spec(1, spec);
   for (std::size_t i = 0; i < HostRuntime::kMaxPendingRoundTrips + 3; ++i) {
     host.send(Message(1, 2, 1, 0), sim::make_args(spec));
@@ -396,7 +397,7 @@ FailureDetector::ProbeFn probe_of(DeviceConnection& connection) {
   return [&connection] {
     FailureDetector::ProbeResult result;
     runtime::PingInfo info;
-    result.reachable = connection.ping(info);
+    result.reachable = connection.ping_e(info).ok();
     result.generation = info.generation;
     return result;
   };
@@ -485,7 +486,7 @@ TEST(Fallback, FailFastSurfacesTypedErrorWhileDown) {
   sim::Fabric fabric;
   fabric.add_forwarding_device(1);
   fabric.connect(sim::host_ref(1), sim::device_ref(1));
-  HostRuntime host(fabric, 1);
+  HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
   host.register_spec(1, spec);
   DeviceConnection connection(fabric, 1);
   FailureDetector::Config config;
@@ -519,7 +520,7 @@ TEST(Fallback, QueueUntilRecoveredFlushesAndResyncs) {
   sim::Fabric fabric;
   fabric.add_device(driver::make_device(std::move(compiled), 1));
   fabric.connect(sim::host_ref(1), sim::device_ref(1));
-  HostRuntime host(fabric, 1);
+  HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
   host.register_spec(1, spec);
   DeviceConnection connection(fabric, 1);
   FailureDetector::Config config;
@@ -585,7 +586,7 @@ TEST(Fallback, HostExecuteIsByteIdenticalToUninterruptedRun) {
     sim::Fabric fabric(3);
     fabric.add_device(driver::make_device(std::move(compiled), 1));
     fabric.connect(sim::host_ref(1), sim::device_ref(1));
-    HostRuntime host(fabric, 1);
+    HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
     host.register_spec(1, spec);
     DeviceConnection connection(fabric, 1);
     FailureDetector::Config config;
@@ -645,7 +646,7 @@ TEST(Fallback, HostExecuteCountsDropsAndUnknownComputations) {
   sim::Fabric fabric(3);
   fabric.add_device(driver::make_device(std::move(compiled), 1));
   fabric.connect(sim::host_ref(1), sim::device_ref(1));
-  HostRuntime host(fabric, 1);
+  HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
   host.register_spec(1, spec);
   host.register_spec(9, spec);
   DeviceConnection connection(fabric, 1);

@@ -2,6 +2,7 @@
 
 #include "apps/sources.hpp"
 #include "driver/compiler.hpp"
+#include "net/sim_transport.hpp"
 #include "runtime/host.hpp"
 #include "sim/fabric.hpp"
 
@@ -402,8 +403,8 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
   const KernelSpec spec = compiled.specs.at(1);
 
   Fabric fabric;
-  HostRuntime client(fabric, 1);
-  HostRuntime server(fabric, 2);
+  HostRuntime client(std::make_unique<net::SimTransport>(fabric, 1), 1);
+  HostRuntime server(std::make_unique<net::SimTransport>(fabric, 2), 2);
   client.register_spec(1, spec);
   server.register_spec(1, spec);
   fabric.add_device(make_device(std::move(compiled), 1));
@@ -448,9 +449,9 @@ TEST(EndToEnd, MulticastToGroup) {
   )");
   const KernelSpec spec = compiled.specs.at(1);
   Fabric fabric;
-  HostRuntime h1(fabric, 1);
-  HostRuntime h2(fabric, 2);
-  HostRuntime h3(fabric, 3);
+  HostRuntime h1(std::make_unique<net::SimTransport>(fabric, 1), 1);
+  HostRuntime h2(std::make_unique<net::SimTransport>(fabric, 2), 2);
+  HostRuntime h3(std::make_unique<net::SimTransport>(fabric, 3), 3);
   h1.register_spec(1, spec);
   h2.register_spec(1, spec);
   h3.register_spec(1, spec);
@@ -491,8 +492,8 @@ TEST(EndToEnd, SendToDeviceChain) {
   const KernelSpec spec = compiled1.specs.at(1);
 
   Fabric fabric;
-  HostRuntime client(fabric, 1);
-  HostRuntime server(fabric, 4);
+  HostRuntime client(std::make_unique<net::SimTransport>(fabric, 1), 1);
+  HostRuntime server(std::make_unique<net::SimTransport>(fabric, 4), 4);
   client.register_spec(1, spec);
   server.register_spec(1, spec);
   fabric.add_device(make_device(std::move(compiled1), 1));

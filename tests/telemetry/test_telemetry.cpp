@@ -16,6 +16,7 @@
 #include "apps/sources.hpp"
 #include "driver/compiler.hpp"
 #include "net/control.hpp"
+#include "net/sim_transport.hpp"
 #include "net/swd_server.hpp"
 #include "net/udp_transport.hpp"
 #include "net/wire.hpp"
@@ -240,7 +241,7 @@ TEST(TelemetryEquivalence, SimAndSwdStampTheSameShape) {
   {
     sim::Fabric fabric(3);
     fabric.add_device(driver::make_device(std::move(sim_compiled), 1));
-    HostRuntime host(fabric, 1);
+    HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
     host.register_spec(1, spec);
     fabric.connect(sim::host_ref(1), sim::device_ref(1));
     obs::Tracer trace;
@@ -695,14 +696,14 @@ TEST(MetricsEndpoint, ServesPrometheusOverHttpAndControlPlane) {
   // already hold a control connection and for tests without HTTP.
   net::ControlClient control("127.0.0.1", server.control_port());
   std::string via_control;
-  ASSERT_TRUE(control.metrics_text(via_control));
+  ASSERT_TRUE(control.metrics_text(via_control).ok());
   EXPECT_NE(via_control.find("netcl_packets_received_total"), std::string::npos);
 
   // PONG carries the daemon clock for alignment.
   std::uint16_t device_id = 0;
   std::uint32_t generation = 0;
   std::uint64_t device_clock_ns = 0;
-  ASSERT_TRUE(control.ping(device_id, generation, device_clock_ns));
+  ASSERT_TRUE(control.ping(device_id, generation, device_clock_ns).ok());
   EXPECT_EQ(device_id, 1);
   EXPECT_GT(device_clock_ns, 0u);
   EXPECT_EQ(server.metrics_scrapes.value(), 1u);

@@ -13,6 +13,7 @@
 #include "apps/sources.hpp"
 #include "driver/compiler.hpp"
 #include "net/control.hpp"
+#include "net/sim_transport.hpp"
 #include "net/swd_server.hpp"
 #include "net/udp_transport.hpp"
 #include "p4/admission.hpp"
@@ -122,12 +123,12 @@ std::vector<Send> agg_sends(const KernelSpec& spec, int comp) {
 /// Seeds the CACHE tenant's managed state (one valid two-word cacheline
 /// for key 5; sketch threshold high enough that misses stay quiet).
 void seed_cache(DeviceConnection& control) {
-  ASSERT_TRUE(control.insert("KeyIndex", 5, 2));
-  ASSERT_TRUE(control.insert("WordMask", 5, 0x3));
-  ASSERT_TRUE(control.managed_write("Values", 0xAA, {0, 2}));
-  ASSERT_TRUE(control.managed_write("Values", 0xBB, {1, 2}));
-  ASSERT_TRUE(control.managed_write("Valid", 1, {2}));
-  ASSERT_TRUE(control.managed_write("thresh", 1000));
+  ASSERT_TRUE(control.insert_e("KeyIndex", 5, 2).ok());
+  ASSERT_TRUE(control.insert_e("WordMask", 5, 0x3).ok());
+  ASSERT_TRUE(control.managed_write_e("Values", 0xAA, {0, 2}).ok());
+  ASSERT_TRUE(control.managed_write_e("Values", 0xBB, {1, 2}).ok());
+  ASSERT_TRUE(control.managed_write_e("Valid", 1, {2}).ok());
+  ASSERT_TRUE(control.managed_write_e("thresh", 1000).ok());
 }
 
 using Responses = std::map<int, std::vector<std::vector<std::uint8_t>>>;
@@ -137,7 +138,7 @@ using Responses = std::map<int, std::vector<std::vector<std::uint8_t>>>;
 /// so comparisons are byte-exact.
 Responses drive_fabric(sim::Fabric& fabric, const std::map<int, KernelSpec>& specs,
                        const std::vector<Send>& sends) {
-  HostRuntime host(fabric, 1);
+  HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
   for (const auto& [comp, spec] : specs) host.register_spec(comp, spec);
   Responses responses;
   host.on_receive([&](const Message& message, ArgValues& args) {
@@ -390,9 +391,9 @@ TEST(Tenants, HotSwapDropsZeroPacketsForCoResidentTenants) {
 
   DeviceConnection control(fabric, 1);
   control.set_compiler(driver::artifact_compiler());
-  ASSERT_TRUE(control.managed_write("thresh", 500));
+  ASSERT_TRUE(control.managed_write_e("thresh", 500).ok());
 
-  HostRuntime host(fabric, 1);
+  HostRuntime host(std::make_unique<net::SimTransport>(fabric, 1), 1);
   host.register_spec(1, calc_spec);
   std::size_t responses = 0;
   host.on_receive([&](const Message&, ArgValues&) { ++responses; });
@@ -429,7 +430,7 @@ TEST(Tenants, HotSwapDropsZeroPacketsForCoResidentTenants) {
 
   // The journaled write was replayed into the fresh register file.
   std::uint64_t thresh = 0;
-  ASSERT_TRUE(control.managed_read("thresh", thresh));
+  ASSERT_TRUE(control.managed_read_e("thresh", thresh).ok());
   EXPECT_EQ(thresh, 500u);
 
   // A swap whose program fails to compile is refused and keeps the old
@@ -559,15 +560,15 @@ _kernel(COMP) _at(1) void hog(uint32_t x, uint32_t &t0, uint32_t &t1,
   EXPECT_EQ(err.kind, ErrorKind::kRejected);
 
   // The tenant table over the wire shows the residents and their stats.
-  std::vector<net::KernelInfo> kernels;
+  std::vector<sim::TenantInfo> kernels;
   ASSERT_FALSE(control.list_kernels_e(kernels));
   ASSERT_EQ(kernels.size(), 3u);
-  EXPECT_EQ(kernels[0].tenant, 1u);
+  EXPECT_EQ(kernels[0].id, 1u);
   EXPECT_EQ(kernels[0].name, "CALC");
-  EXPECT_EQ(kernels[0].packets_processed, 5u);
-  EXPECT_EQ(kernels[1].tenant, 2u);
-  EXPECT_EQ(kernels[1].computations, std::vector<std::uint32_t>{2});
-  EXPECT_EQ(kernels[2].tenant, 9u);
+  EXPECT_EQ(kernels[0].stats.packets_processed, 5u);
+  EXPECT_EQ(kernels[1].id, 2u);
+  EXPECT_EQ(kernels[1].computations, std::vector<int>{2});
+  EXPECT_EQ(kernels[2].id, 9u);
 
   // Hitless swap over the wire: tenant 2 is replaced; tenant 1 keeps
   // serving with zero drops, and tenant 2's managed seed survives the
@@ -580,11 +581,11 @@ _kernel(COMP) _at(1) void hog(uint32_t x, uint32_t &t0, uint32_t &t1,
   kernels.clear();
   ASSERT_FALSE(control.list_kernels_e(kernels));
   ASSERT_EQ(kernels.size(), 3u);
-  EXPECT_EQ(kernels[0].packets_processed, 10u);
-  EXPECT_EQ(kernels[0].drops_action, 0u);
+  EXPECT_EQ(kernels[0].stats.packets_processed, 10u);
+  EXPECT_EQ(kernels[0].stats.drops_action, 0u);
 
   std::uint64_t thresh = 0;
-  ASSERT_TRUE(control.managed_read("thresh", thresh));
+  ASSERT_TRUE(control.managed_read_e("thresh", thresh).ok());
   EXPECT_EQ(thresh, 1000u);
 
   // Unload over the wire.
@@ -595,6 +596,57 @@ _kernel(COMP) _at(1) void hog(uint32_t x, uint32_t &t0, uint32_t &t1,
 
   server.stop();
   serving.join();
+}
+
+// --- one error form: sim and netcl-swd refuse alike ---------------------------
+
+TEST(Tenants, FailingControlOpsReturnTheSameKindInSimAndOverTheWire) {
+  const apps::AppSource cache = apps::cache_source(64, 2, 64);
+  // The same failing ops against one connection, errors in order.
+  const auto failures = [](DeviceConnection& control) {
+    std::uint64_t value = 0;
+    return std::vector<runtime::Error>{
+        control.managed_read_e("NoSuchRegister", value),
+        control.managed_write_e("Values", 1, {99, 0}),  // no partition Values$99
+        control.insert_e("NoSuchTable", 5, 2),
+        control.unload_kernel_e(9),
+        control.load_kernel_e(11, "bad", "_kernel(11) _at(1) void broken(", {}),
+    };
+  };
+
+  sim::Fabric fabric;
+  setup_fabric(fabric, std::make_unique<sim::SwitchDevice>(1));
+  DeviceConnection in_fabric(fabric, 1);
+  in_fabric.set_compiler(driver::artifact_compiler());
+  runtime::Error err = in_fabric.load_kernel_e(2, "CACHE", cache.source, app_defines(cache, 2));
+  ASSERT_FALSE(err) << err.message;
+
+  net::SwdOptions options;
+  options.compiler = driver::artifact_compiler();
+  net::SwdServer server(std::make_unique<sim::SwitchDevice>(1), options);
+  ASSERT_TRUE(server.valid()) << server.error();
+  std::thread serving([&] { server.run(); });
+  DeviceConnection over_wire("127.0.0.1", server.control_port());
+  ASSERT_TRUE(over_wire.valid());
+  err = over_wire.load_kernel_e(2, "CACHE", cache.source, app_defines(cache, 2));
+  ASSERT_FALSE(err) << err.message;
+
+  const std::vector<runtime::Error> sim_errors = failures(in_fabric);
+  const std::vector<runtime::Error> swd_errors = failures(over_wire);
+  server.stop();
+  serving.join();
+
+  ASSERT_EQ(sim_errors.size(), swd_errors.size());
+  for (std::size_t i = 0; i < sim_errors.size(); ++i) {
+    EXPECT_EQ(sim_errors[i].kind, ErrorKind::kRejected) << i << ": " << sim_errors[i].to_string();
+    EXPECT_EQ(swd_errors[i].kind, sim_errors[i].kind) << i << ": " << swd_errors[i].to_string();
+    EXPECT_FALSE(swd_errors[i].message.empty()) << i;
+  }
+  // Refusals name the op and the object, worded alike on both devices.
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(swd_errors[i].message, sim_errors[i].message) << i;
+  }
+  EXPECT_NE(swd_errors[0].message.find("NoSuchRegister"), std::string::npos);
 }
 
 }  // namespace
