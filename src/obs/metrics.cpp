@@ -28,29 +28,31 @@ double Histogram::bucket_floor(int bucket) {
 void Histogram::record(double sample) {
   if (std::isnan(sample)) return;
   if (sample < 0.0) sample = 0.0;
-  ++buckets_[bucket_for(sample)];
-  if (count_ == 0) {
-    min_ = max_ = sample;
+  buckets_[bucket_for(sample)].add(1);
+  if (count_.load() == 0) {
+    min_.store(sample);
+    max_.store(sample);
   } else {
-    min_ = std::min(min_, sample);
-    max_ = std::max(max_, sample);
+    min_.store(std::min(min_.load(), sample));
+    max_.store(std::max(max_.load(), sample));
   }
-  ++count_;
-  sum_ += sample;
+  count_.add(1);
+  sum_.add(sample);
 }
 
 void Histogram::merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  for (int i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
+  const std::uint64_t count = other.count_.load();
+  if (count == 0) return;
+  for (int i = 0; i < kBuckets; ++i) buckets_[i].add(other.buckets_[i].load());
+  if (count_.load() == 0) {
+    min_.store(other.min_.load());
+    max_.store(other.max_.load());
   } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
+    min_.store(std::min(min_.load(), other.min_.load()));
+    max_.store(std::max(max_.load(), other.max_.load()));
   }
-  count_ += other.count_;
-  sum_ += other.sum_;
+  count_.add(count);
+  sum_.add(other.sum_.load());
 }
 
 void Histogram::reset() { *this = Histogram(); }
@@ -58,19 +60,20 @@ void Histogram::reset() { *this = Histogram(); }
 double Histogram::percentile(double p) const { return quantile(p / 100.0); }
 
 double Histogram::quantile(double q) const {
-  if (count_ == 0) return 0.0;
+  if (count() == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(count_);
+  const double rank = q * static_cast<double>(count());
   std::uint64_t cumulative = 0;
   for (int i = 0; i < kBuckets; ++i) {
-    if (buckets_[i] == 0) continue;
+    const std::uint64_t in_bucket = bucket_count(i);
+    if (in_bucket == 0) continue;
     const double before = static_cast<double>(cumulative);
-    cumulative += buckets_[i];
+    cumulative += in_bucket;
     if (static_cast<double>(cumulative) >= rank) {
       const double lo = bucket_floor(i);
-      const double hi = i + 1 >= kBuckets ? max_ : bucket_floor(i + 1);
+      const double hi = i + 1 >= kBuckets ? max() : bucket_floor(i + 1);
       const double fraction =
-          std::clamp((rank - before) / static_cast<double>(buckets_[i]), 0.0, 1.0);
+          std::clamp((rank - before) / static_cast<double>(in_bucket), 0.0, 1.0);
       return std::clamp(lo + fraction * (hi - lo), min(), max());
     }
   }
@@ -80,9 +83,9 @@ double Histogram::quantile(double q) const {
 void Histogram::write_json(JsonWriter& w) const {
   w.begin_object();
   w.key("count");
-  w.value(count_);
+  w.value(count());
   w.key("sum");
-  w.value(sum_);
+  w.value(sum());
   w.key("min");
   w.value(min());
   w.key("max");
@@ -98,11 +101,12 @@ void Histogram::write_json(JsonWriter& w) const {
   w.key("buckets");
   w.begin_object();
   for (int i = 0; i < kBuckets; ++i) {
-    if (buckets_[i] == 0) continue;
+    const std::uint64_t in_bucket = bucket_count(i);
+    if (in_bucket == 0) continue;
     char label[32];
     std::snprintf(label, sizeof(label), "%.0f", bucket_floor(i));
     w.key(label);
-    w.value(buckets_[i]);
+    w.value(in_bucket);
   }
   w.end_object();
   w.end_object();
@@ -208,22 +212,31 @@ MetricsRegistry::~MetricsRegistry() {
   std::erase(s.live, this);
 }
 
-Counter& MetricsRegistry::counter(const std::string& metric) {
-  auto& slot = counters_[valid_metric_name(metric) ? metric : sanitize_metric_name(metric)];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return *slot;
+namespace {
+
+/// Find-or-create under the lock every snapshot takes, inserting only a
+/// filled slot, so a concurrent scrape never walks a map mid-insert or
+/// sees an empty entry. Cold: callers keep the returned reference.
+template <typename Metric>
+Metric& find_or_create(std::map<std::string, std::unique_ptr<Metric>>& metrics,
+                       const std::string& metric) {
+  std::string name = valid_metric_name(metric) ? metric : sanitize_metric_name(metric);
+  const std::lock_guard<std::mutex> lock(state().mutex);
+  auto it = metrics.find(name);
+  if (it == metrics.end()) it = metrics.emplace(std::move(name), std::make_unique<Metric>()).first;
+  return *it->second;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& metric) {
-  auto& slot = gauges_[valid_metric_name(metric) ? metric : sanitize_metric_name(metric)];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return *slot;
+}  // namespace
+
+Counter& MetricsRegistry::counter(const std::string& metric) {
+  return find_or_create(counters_, metric);
 }
+
+Gauge& MetricsRegistry::gauge(const std::string& metric) { return find_or_create(gauges_, metric); }
 
 Histogram& MetricsRegistry::histogram(const std::string& metric) {
-  auto& slot = histograms_[valid_metric_name(metric) ? metric : sanitize_metric_name(metric)];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
-  return *slot;
+  return find_or_create(histograms_, metric);
 }
 
 void MetricsRegistry::reset() {

@@ -3,8 +3,10 @@
 // Design goals (ISSUE 1):
 //  * lock-cheap — incrementing a Counter or recording into a Histogram is a
 //    plain integer operation on a handle obtained once; the only locking
-//    is around the process-wide registry list, touched at registry
-//    construction/destruction and dump() time;
+//    is around the process-wide registry list and each registry's name
+//    maps, touched at registry construction/destruction, metric creation
+//    and dump() time. Each value is one thread's to write and any
+//    thread's to read (Relaxed), so a scrape never reads a torn value;
 //  * survives teardown — a MetricsRegistry folds its final values into a
 //    process-wide retained store when destroyed, so benches can run a
 //    whole simulation (fabric + hosts scoped inside the run) and still
@@ -14,6 +16,7 @@
 //    latencies and wall-clock pack/unpack costs.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -24,32 +27,54 @@ namespace netcl::obs {
 
 class JsonWriter;
 
+/// A metric value that its owning thread updates and any thread may read:
+/// relaxed atomic loads and stores, which compile to plain moves. An
+/// update is load-then-store, not a locked read-modify-write, so it costs
+/// what a plain increment does; two threads updating one value may lose
+/// an update.
+template <typename T>
+class Relaxed {
+ public:
+  Relaxed(T value = T{}) : value_(value) {}  // NOLINT(google-explicit-constructor)
+  Relaxed(const Relaxed& other) : value_(other.load()) {}
+  Relaxed& operator=(const Relaxed& other) {
+    store(other.load());
+    return *this;
+  }
+  [[nodiscard]] T load() const { return value_.load(std::memory_order_relaxed); }
+  void store(T value) { value_.store(value, std::memory_order_relaxed); }
+  void add(T delta) { store(load() + delta); }
+
+ private:
+  std::atomic<T> value_;
+};
+
 /// Monotonic event count. Implicitly converts to its value so existing
 /// `stats.sent`-style reads keep working.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) { value_ += n; }
+  void inc(std::uint64_t n = 1) { value_.add(n); }
   Counter& operator++() {
-    ++value_;
+    value_.add(1);
     return *this;
   }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-  operator std::uint64_t() const { return value_; }  // NOLINT(google-explicit-constructor)
-  void reset() { value_ = 0; }
+  [[nodiscard]] std::uint64_t value() const { return value_.load(); }
+  operator std::uint64_t() const { return value_.load(); }  // NOLINT(google-explicit-constructor)
+  void reset() { value_.store(0); }
 
  private:
-  std::uint64_t value_ = 0;
+  Relaxed<std::uint64_t> value_;
 };
 
 /// Last-written value (e.g. stages used, occupancy percentages).
 class Gauge {
  public:
-  void set(double v) { value_ = v; }
-  [[nodiscard]] double value() const { return value_; }
-  void reset() { value_ = 0.0; }
+  void set(double v) { value_.store(v); }
+  [[nodiscard]] double value() const { return value_.load(); }
+  void reset() { value_.store(0.0); }
 
  private:
-  double value_ = 0.0;
+  Relaxed<double> value_;
 };
 
 /// Power-of-two-bucketed histogram for non-negative samples (latencies in
@@ -69,14 +94,15 @@ class Histogram {
   void merge(const Histogram& other);
   void reset();
 
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double min() const { return count_ == 0 ? 0.0 : min_; }
-  [[nodiscard]] double max() const { return count_ == 0 ? 0.0 : max_; }
+  [[nodiscard]] std::uint64_t count() const { return count_.load(); }
+  [[nodiscard]] double sum() const { return sum_.load(); }
+  [[nodiscard]] double min() const { return count() == 0 ? 0.0 : min_.load(); }
+  [[nodiscard]] double max() const { return count() == 0 ? 0.0 : max_.load(); }
   [[nodiscard]] double mean() const {
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+    const std::uint64_t n = count();
+    return n == 0 ? 0.0 : sum() / static_cast<double>(n);
   }
-  [[nodiscard]] std::uint64_t bucket_count(int bucket) const { return buckets_[bucket]; }
+  [[nodiscard]] std::uint64_t bucket_count(int bucket) const { return buckets_[bucket].load(); }
 
   /// Quantile estimate (q in [0,1]): linear interpolation inside the
   /// power-of-two bucket holding the target rank, clamped to the observed
@@ -95,11 +121,11 @@ class Histogram {
   void write_json(JsonWriter& w) const;
 
  private:
-  std::uint64_t buckets_[kBuckets] = {};
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
+  Relaxed<std::uint64_t> buckets_[kBuckets] = {};
+  Relaxed<std::uint64_t> count_;
+  Relaxed<double> sum_;
+  Relaxed<double> min_;
+  Relaxed<double> max_;
 };
 
 /// Metric-name hygiene (ISSUE 4): names must stay embeddable in every
@@ -125,8 +151,9 @@ class MetricsRegistry {
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// Finds or creates. Returned references stay valid for the registry's
-  /// lifetime (storage is node-based).
+  /// Finds or creates, under the lock that snapshots take, so another
+  /// thread may scrape meanwhile. Returned references stay valid for the
+  /// registry's lifetime (storage is node-based).
   Counter& counter(const std::string& metric);
   Gauge& gauge(const std::string& metric);
   Histogram& histogram(const std::string& metric);

@@ -19,7 +19,16 @@
 //   * what depends only on guards — per-stage counts, register write
 //     counts, which RetAction decides — is tallied once after the
 //     operations, from the guard slots (which keep their values), into flat
-//     arrays. Register reads are static counts.
+//     arrays. Register reads are static counts;
+//   * value lanes are fused. An unrolled loop over a value array (SwitchML's
+//     `Agg[i][agg_idx]` and `v[i]`, NetCache's `Values[i][idx]`) lowers to a
+//     body of k operations repeated once per lane. fuse_lanes() turns such a
+//     run into k operations of L lanes each, op-major, the way a VLIW action
+//     applies one instruction to many PHV containers. A fused lane reads and
+//     writes only its own slots, argument elements and cells, so the order
+//     change is invisible. A run whose lanes depend on each other (NetCache's
+//     GET read loop, where each lane's guard is computed from the previous
+//     lane's) stays unfused.
 //
 // A run makes no heap allocation and no hash-map lookup.
 #pragma once
@@ -73,6 +82,11 @@ class ExecProgram {
   /// Guard-true operations per stage in the last run (index = stage).
   [[nodiscard]] std::span<const std::uint32_t> stage_hits() const { return stage_hits_; }
 
+  /// Operations a run dispatches; a fused lane group counts once.
+  [[nodiscard]] std::size_t op_count() const { return insts_.size(); }
+  /// Operations that run more than one lane.
+  [[nodiscard]] std::size_t lane_groups() const;
+
  private:
   enum class Op : std::uint8_t {
     kBin,
@@ -97,6 +111,13 @@ class ExecProgram {
 
   /// One lowered operation. Which fields mean something depends on `op`;
   /// `guard`, `dst`, `a`, `b` and `c` are slots.
+  ///
+  /// An operation runs `lanes` lanes (1 unless fuse_lanes fused it). Lane l
+  /// writes slot dst + l and reads a + l * a_step (likewise b and c; a step
+  /// is 0 for a value all lanes share, 1 for a per-lane block), argument
+  /// element s[a] + l (LoadMsg, StoreMsg) and register access
+  /// ref + l * ref_step. All lanes share the guard. The fields are ordered
+  /// to keep an Inst at 40 bytes: run() streams through them per packet.
   struct Inst {
     Op op = Op::kBin;
     /// BinKind, ICmpPred, AtomicOpKind, HashKind or the header field index
@@ -108,13 +129,17 @@ class ExecProgram {
     /// operand type (Clz) or stored type (StoreMsg, StoreLocal, registers).
     ScalarType type;
     ScalarType from;  // Cast: the operand's type
+    std::uint8_t a_step = 0;  // lane steps (see above), b_step and c_step below
     std::uint32_t guard = 0;  // stores and atomics
     std::uint32_t dst = 0;
     std::uint32_t a = 0, b = 0, c = 0;
-    /// Register access, table, local array or argument index, per op.
+    /// Register access, table, local array, argument index or first hash
+    /// input (hash_inputs_[ref, ref + count)), per op.
     std::uint32_t ref = 0;
-    /// Hash inputs: hash_inputs_[list, list + count).
-    std::uint32_t list = 0, count = 0;
+    std::uint16_t count = 0;  // hash inputs
+    std::uint16_t lanes = 1;
+    std::uint8_t ref_step = 0;
+    std::uint8_t b_step = 0, c_step = 0;
   };
 
   struct HashInput {
@@ -151,15 +176,17 @@ class ExecProgram {
     const LookupTable* table = nullptr;
   };
 
-  // Tallied after the operations (see the file comment).
+  // Tallied after the operations (see the file comment). Register counts
+  // cover `globals` consecutive RegisterAccess entries from `global` on, so
+  // the per-lane arrays of a partitioned register are one entry.
   struct StageCount {
     std::uint32_t stage = 0, guard = 0, count = 0;
   };
   struct ReadCount {
-    std::uint32_t global = 0, count = 0;  // global = RegisterAccess index
+    std::uint32_t global = 0, globals = 1, count = 0;
   };
   struct WriteCount {
-    std::uint32_t global = 0, guard = 0, cond = 0, count = 0;
+    std::uint32_t global = 0, globals = 1, guard = 0, cond = 0, count = 0;
   };
   struct Action {
     std::uint32_t guard = 0, target = 0;
@@ -167,7 +194,37 @@ class ExecProgram {
     bool has_target = false;
   };
 
-  [[nodiscard]] std::uint64_t& cell(const Inst& inst) const;
+  /// Moves each ReadArg up to just after the last store to its argument
+  /// (or the program's start), out of the loop bodies fuse_lanes looks at.
+  void hoist_arg_reads();
+  /// Fuses runs of lanes (see the file comment); `fixed` marks the slots
+  /// whose value is set at load.
+  void fuse_lanes(const std::vector<bool>& fixed);
+  /// How many lanes of `body` operations each, from ops[first] on, may be
+  /// fused (1: none). `ops` holds at least two bodies from `first` on.
+  [[nodiscard]] std::size_t fusable_lanes(std::span<const Inst> ops, std::size_t first,
+                                          std::size_t body, const std::vector<bool>& fixed) const;
+  /// The slot operands a fusable op reads besides its guard, its argument
+  /// element and its index terms (bit 1: a, 2: b, 4: c); -1 for an op that
+  /// never fuses.
+  [[nodiscard]] static int lane_operands(Op op);
+  /// Whether `op` reads or writes a register cell.
+  [[nodiscard]] static bool on_register(Op op);
+  /// The body position whose lane-0 result is `slot`, or -1.
+  [[nodiscard]] static int body_def(const Inst* lane0, std::size_t body, std::uint32_t slot);
+
+  /// Runs one operation's lanes: `lanes` is inst.lanes, or the constant 1
+  /// for an ordinary op. Inlined into run(); step_lanes() holds the copy
+  /// for fused operations.
+  template <typename Lanes>
+  [[gnu::always_inline]] inline void step(const Inst& inst, Lanes lanes, ArgValues& args,
+                                          const NetclHeader& header, SplitMix64& rng);
+  [[gnu::noinline]] void step_lanes(const Inst& inst, ArgValues& args, const NetclHeader& header,
+                                    SplitMix64& rng);
+
+  /// The cell index of an access without its constant offset: the sum of
+  /// its variable terms.
+  [[nodiscard]] std::size_t term_sum(const Access& access) const;
 
   std::vector<Inst> insts_;
   std::vector<HashInput> hash_inputs_;

@@ -349,11 +349,25 @@ SwitchDevice::Resolved SwitchDevice::resolve(const std::string& name,
   return matches == 1 ? match : Resolved{};
 }
 
+namespace {
+
+/// Control-plane indices name one cell: an index past its dimension is
+/// refused, not wrapped (the data path's wrap is kernel semantics).
+bool in_range(const GlobalVar& global, const std::vector<std::uint64_t>& indices) {
+  for (std::size_t d = 0; d < indices.size() && d < global.dims.size(); ++d) {
+    if (indices[d] >= static_cast<std::uint64_t>(global.dims[d])) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 bool SwitchDevice::managed_write(const std::string& name,
                                  const std::vector<std::uint64_t>& indices,
                                  std::uint64_t value) {
   const Resolved r = resolve(name, indices);
   if (r.global == nullptr || !r.global->is_managed || r.global->is_lookup) return false;
+  if (!in_range(*r.global, r.indices)) return false;
   r.tenant->registers->write(*r.global, r.tenant->registers->flatten(*r.global, r.indices), value);
   ++stats.control_writes;
   ++r.tenant->stats.control_writes;
@@ -364,6 +378,7 @@ bool SwitchDevice::managed_read(const std::string& name,
                                 const std::vector<std::uint64_t>& indices, std::uint64_t& out) {
   const Resolved r = resolve(name, indices);
   if (r.global == nullptr || !r.global->is_managed || r.global->is_lookup) return false;
+  if (!in_range(*r.global, r.indices)) return false;
   out = r.tenant->registers->read(*r.global, r.tenant->registers->flatten(*r.global, r.indices));
   ++stats.control_reads;
   ++r.tenant->stats.control_reads;
@@ -399,7 +414,7 @@ bool SwitchDevice::debug_read(const std::string& name,
                               const std::vector<std::uint64_t>& indices,
                               std::uint64_t& out) const {
   const Resolved r = resolve(name, indices);
-  if (r.global == nullptr || r.global->is_lookup) return false;
+  if (r.global == nullptr || r.global->is_lookup || !in_range(*r.global, r.indices)) return false;
   out = r.tenant->registers->read(*r.global, r.tenant->registers->flatten(*r.global, r.indices));
   return true;
 }

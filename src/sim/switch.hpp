@@ -176,6 +176,8 @@ class SwitchDevice {
   /// partitioning renames (cms[0][i] finds cms$0[i]). The name is looked up
   /// across all tenants; a unique match wins, an ambiguous one (two tenants
   /// declaring the same global) fails. Prefix "12:" scopes to tenant 12.
+  /// An index past its dimension fails too (the data path wraps; the
+  /// control plane names one cell).
   bool managed_write(const std::string& name, const std::vector<std::uint64_t>& indices,
                      std::uint64_t value);
   bool managed_read(const std::string& name, const std::vector<std::uint64_t>& indices,

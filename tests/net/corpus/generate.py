@@ -20,6 +20,7 @@ Layouts mirrored here (keep in sync with the C++ codecs):
            u32 qdepth, u32 ops)   (30 bytes per hop)
   control: u64 client | u64 request | u8 opcode | operands
 """
+import itertools
 import os
 import struct
 
@@ -51,7 +52,15 @@ def cstr(s):
     return struct.pack("<H", len(raw)) + raw
 
 
-def request(opcode, operands=b"", client=0x11, reqid=1):
+# Each control seed gets its own request id: the daemon answers a repeated
+# (client, request id) from its idempotency cache without dispatching it,
+# so seeds replayed by one process would otherwise all get the first reply.
+_request_ids = itertools.count(1)
+
+
+def request(opcode, operands=b"", client=0x11, reqid=None):
+    if reqid is None:
+        reqid = next(_request_ids)
     return struct.pack("<QQB", client, reqid, opcode) + operands
 
 

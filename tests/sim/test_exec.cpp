@@ -10,6 +10,7 @@
 #include "driver/compiler.hpp"
 #include "kernel_traffic.hpp"
 #include "reference_interpreter.hpp"
+#include "sim/exec.hpp"
 
 namespace netcl::sim {
 namespace {
@@ -197,6 +198,122 @@ INSTANTIATE_TEST_SUITE_P(Kernels, ExecDifferential, ::testing::ValuesIn(exec_cas
                          [](const ::testing::TestParamInfo<ExecCase>& info) {
                            return info.param.name;
                          });
+
+// --- lane fusion --------------------------------------------------------------
+
+// Kernels whose unrolled loops probe ExecProgram's lane fusion: one whose
+// lanes load unguarded and store under a guard some packets fail (then
+// compute and store unguarded), and the shapes that must stay unfused
+// because a lane touches what another lane writes, or the lanes are not one
+// op repeated over consecutive elements under one guard.
+const char* const kPartlyGuarded = R"(
+  _net_ uint32_t R[8][16];
+  _kernel(1) void put(uint16_t idx, uint8_t on, uint32_t _spec(8) *v) {
+    if (on & 1) {
+      for (auto i = 0; i < 8; ++i) R[i][idx] = v[i];
+    }
+    for (auto i = 0; i < 8; ++i) v[i] = v[i] + 1;
+  }
+)";
+const char* const kChainedSum = R"(  // each lane reads the previous lane's sum
+  _kernel(1) void sum(uint32_t _spec(8) *v, uint32_t &total) {
+    uint32_t acc = total;
+    for (auto i = 0; i < 8; ++i) acc = acc + v[i];
+    total = acc;
+  }
+)";
+const char* const kShiftedElements = R"(  // lane i writes the element lane i+1 reads
+  _kernel(1) void shift(uint32_t _spec(8) *v) {
+    for (auto i = 0; i < 7; ++i) v[i + 1] = v[i] + 1;
+  }
+)";
+const char* const kPerLaneGuard = R"(  // each lane's store has its own guard
+  _net_ uint32_t R[8][16];
+  _kernel(1) void keep(uint16_t idx, uint32_t _spec(8) *v) {
+    for (auto i = 0; i < 8; ++i) {
+      if (v[i] > 100) R[i][idx] = v[i];
+    }
+  }
+)";
+const char* const kStridedElements = R"(  // lanes read every other element
+  _net_ uint32_t R[8][16];
+  _kernel(1) void even(uint16_t idx, uint32_t _spec(16) *v) {
+    for (auto i = 0; i < 8; ++i) R[i][idx] = v[2 * i];
+  }
+)";
+
+std::vector<ExecCase> lane_cases() {
+  std::vector<ExecCase> cases;
+  for (const bool speculation : {true, false}) {
+    const std::string suffix = speculation ? "_spec" : "_nospec";
+    cases.push_back({"partly_guarded" + suffix, kPartlyGuarded, {}, 1, speculation});
+    cases.push_back({"chained_sum" + suffix, kChainedSum, {}, 1, speculation});
+    cases.push_back({"shifted_elements" + suffix, kShiftedElements, {}, 1, speculation});
+    cases.push_back({"per_lane_guard" + suffix, kPerLaneGuard, {}, 1, speculation});
+    cases.push_back({"strided_elements" + suffix, kStridedElements, {}, 1, speculation});
+  }
+  return cases;
+}
+
+// The same differential check over the lane kernels, fused or not.
+INSTANTIATE_TEST_SUITE_P(LaneKernels, ExecDifferential, ::testing::ValuesIn(lane_cases()),
+                         [](const ::testing::TestParamInfo<ExecCase>& info) {
+                           return info.param.name;
+                         });
+
+struct Lowered {
+  std::size_t ops = 0;
+  std::size_t lane_groups = 0;
+};
+
+Lowered lower(const std::string& source, const DefineMap& defines = {}, bool speculation = true) {
+  CompileOptions options;
+  options.defines = defines;
+  options.speculation = speculation;
+  options.limits.stages = 64;
+  const CompileResult result = compile_netcl(source, options);
+  EXPECT_TRUE(result.ok) << result.errors;
+  if (!result.ok || result.kernels.size() != 1) return {};
+  const ExecProgram program(result.kernels[0], *result.module);
+  return {program.op_count(), program.lane_groups()};
+}
+
+// SwitchML's AGG: the 32-lane (load v[i], add into Agg[i][agg_idx], store
+// v[i]) body and the 32-lane (load v[i], store Agg[i][agg_idx]) body each
+// fuse, op-major: five lane groups where there were 160 operations.
+TEST(LaneFusion, AggFusesItsFiveLaneGroups) {
+  const apps::AppSource agg = apps::agg_source(4, 64, 32);
+  for (const bool speculation : {true, false}) {
+    const Lowered lowered = lower(agg.source, agg.defines, speculation);
+    EXPECT_EQ(lowered.lane_groups, 5u) << "speculation " << speculation;
+    EXPECT_EQ(lowered.ops, 203u - 160u + 5u) << "speculation " << speculation;
+  }
+}
+
+// NetCache's write-back loop fuses (16 lanes of load, store). Its GET read
+// loop does not: each lane's guard is computed from the previous lane's.
+TEST(LaneFusion, CacheFusesWriteBackButNotItsChainedReadLoop) {
+  const apps::AppSource cache = apps::cache_source(128, 16);
+  const Lowered lowered = lower(cache.source, cache.defines);
+  EXPECT_EQ(lowered.lane_groups, 2u);
+  EXPECT_EQ(lowered.ops, 288u - 32u + 2u);
+}
+
+TEST(LaneFusion, PartlyGuardedLanesFuse) {
+  for (const bool speculation : {true, false}) {
+    EXPECT_GT(lower(kPartlyGuarded, {}, speculation).lane_groups, 0u)
+        << "speculation " << speculation;
+  }
+}
+
+TEST(LaneFusion, DependentOrIrregularLanesStayUnfused) {
+  for (const char* source : {kChainedSum, kShiftedElements, kPerLaneGuard, kStridedElements}) {
+    for (const bool speculation : {true, false}) {
+      EXPECT_EQ(lower(source, {}, speculation).lane_groups, 0u)
+          << source << "speculation " << speculation;
+    }
+  }
+}
 
 // Out-of-range indices wrap per dimension (RegisterFile::flatten), inside
 // the tenant's own arrays: a co-resident tenant with the same global names

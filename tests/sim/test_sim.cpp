@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <span>
+
 #include "apps/sources.hpp"
 #include "driver/compiler.hpp"
 #include "net/sim_transport.hpp"
 #include "runtime/host.hpp"
 #include "sim/fabric.hpp"
+#include "support/hashes.hpp"
 
 namespace netcl::sim {
 namespace {
@@ -54,6 +58,79 @@ TEST(PacketCodec, ShortBufferZeroFills) {
   const ArgValues decoded = decode_args(spec, wire);
   EXPECT_EQ(decoded[0][0], 1u);
   EXPECT_EQ(decoded[1][0], 0u);
+}
+
+// The word-wide codec against the byte loop it replaced: every argument
+// width (bool, 1, 2, 4, 8 bytes), scalar and array arguments, values given
+// short or not at all, and every truncation length of the encoded buffer.
+std::vector<std::uint8_t> byte_loop_encode(const KernelSpec& spec, const ArgValues& values) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t a = 0; a < spec.args.size(); ++a) {
+    const ArgSpec& arg = spec.args[a];
+    const int width = arg.type.bits <= 8 ? 1 : arg.type.bits / 8;
+    for (int e = 0; e < arg.count; ++e) {
+      const auto element = static_cast<std::size_t>(e);
+      const std::uint64_t value = a < values.size() && element < values[a].size()
+                                      ? arg.type.truncate(values[a][element])
+                                      : 0;
+      for (int b = 0; b < width; ++b) out.push_back(static_cast<std::uint8_t>(value >> (8 * b)));
+    }
+  }
+  return out;
+}
+
+ArgValues byte_loop_decode(const KernelSpec& spec, std::span<const std::uint8_t> data) {
+  ArgValues values;
+  std::size_t pos = 0;
+  for (const ArgSpec& arg : spec.args) {
+    const int width = arg.type.bits <= 8 ? 1 : arg.type.bits / 8;
+    std::vector<std::uint64_t>& elements = values.emplace_back();
+    for (int e = 0; e < arg.count; ++e) {
+      std::uint64_t value = 0;
+      for (int b = 0; b < width; ++b, ++pos) {
+        if (pos < data.size()) value |= static_cast<std::uint64_t>(data[pos]) << (8 * b);
+      }
+      elements.push_back(value);
+    }
+  }
+  return values;
+}
+
+TEST(PacketCodec, WordCodecMatchesByteLoopAtEveryTruncation) {
+  const ScalarType types[] = {kBool, kU8, kI16, kU32, kI32, kU64};
+  const int counts[] = {1, 3, 8};
+  SplitMix64 rng(0xC0DEC);
+  for (int trial = 0; trial < 60; ++trial) {
+    KernelSpec spec;
+    const auto args = 1 + rng.next_below(5);
+    for (std::uint64_t a = 0; a < args; ++a) {
+      ArgSpec arg;
+      arg.type = types[rng.next_below(std::size(types))];
+      arg.count = counts[rng.next_below(std::size(counts))];
+      spec.args.push_back(arg);
+    }
+    // Full-width values (truncated on encode), some arguments given short.
+    ArgValues values = make_args(spec);
+    for (std::vector<std::uint64_t>& elements : values) {
+      for (std::uint64_t& value : elements) value = rng.next();
+      if (rng.next_below(4) == 0) elements.resize(rng.next_below(elements.size() + 1));
+    }
+    if (rng.next_below(8) == 0) values.pop_back();
+
+    std::vector<std::uint8_t> wire = {0xEE, 0xEE};  // reused storage is replaced
+    encode_args_into(spec, values, wire);
+    const std::vector<std::uint8_t> want_wire = byte_loop_encode(spec, values);
+    ASSERT_EQ(wire, want_wire) << "trial " << trial << ": " << spec.to_string();
+    ASSERT_EQ(static_cast<int>(wire.size()), spec.byte_size());
+
+    ArgValues decoded = make_args(spec);
+    for (std::size_t length = 0; length <= wire.size(); ++length) {
+      const std::span<const std::uint8_t> prefix(wire.data(), length);
+      decode_args_into(spec, prefix, decoded);
+      ASSERT_EQ(decoded, byte_loop_decode(spec, prefix))
+          << "trial " << trial << ", " << length << " of " << wire.size() << " bytes";
+    }
+  }
 }
 
 // --- device execution ---------------------------------------------------------

@@ -608,6 +608,9 @@ TEST(Tenants, FailingControlOpsReturnTheSameKindInSimAndOverTheWire) {
     return std::vector<runtime::Error>{
         control.managed_read_e("NoSuchRegister", value),
         control.managed_write_e("Values", 1, {99, 0}),  // no partition Values$99
+        // Valid has 64 entries: an index past them is refused, not wrapped.
+        control.managed_write_e("Valid", 1, {1000}),
+        control.managed_read_e("Valid", value, {1000}),
         control.insert_e("NoSuchTable", 5, 2),
         control.unload_kernel_e(9),
         control.load_kernel_e(11, "bad", "_kernel(11) _at(1) void broken(", {}),
@@ -643,10 +646,14 @@ TEST(Tenants, FailingControlOpsReturnTheSameKindInSimAndOverTheWire) {
     EXPECT_FALSE(swd_errors[i].message.empty()) << i;
   }
   // Refusals name the op and the object, worded alike on both devices.
-  for (std::size_t i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(swd_errors[i].message, sim_errors[i].message) << i;
   }
   EXPECT_NE(swd_errors[0].message.find("NoSuchRegister"), std::string::npos);
+  // The refused write did not land on the wrapped cell, Valid[1000 % 64].
+  std::uint64_t wrapped = 1;
+  ASSERT_FALSE(in_fabric.managed_read_e("Valid", wrapped, {40}));
+  EXPECT_EQ(wrapped, 0u);
 }
 
 }  // namespace
